@@ -74,24 +74,3 @@ from .synthbench import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Parameter", "Tensor", "adam_step", "cross_entropy_per_sample",
-    "grad_check", "softmax", "weighted_cross_entropy", "zero_grad",
-    "ConfigError", "DataFormatError", "NumericalError", "ShapeError",
-    "EpochStats", "EvalReport", "RunLog", "SweepRow", "TrainConfig",
-    "emit_report", "evaluate", "kl_divergence", "load_report",
-    "sweep_gamma", "train",
-    "ModelConfig", "VqaModelParams", "encode_question", "encode_visual",
-    "init_params", "load_checkpoint", "predict_qo", "predict_vqa",
-    "save_checkpoint",
-    "BatchLossRecord", "LossVariant", "PriorTable", "VariantKind",
-    "alpha_from_qo", "batch_objective", "beta", "build_prior_table",
-    "lpf_loss", "qo_loss", "total_loss", "variant_alpha",
-    "BenchmarkConfig", "Sample", "Split", "answer_block",
-    "bayes_qo_accuracy", "bias_trap_accuracy", "build_priors",
-    "cell_prototypes", "empirical_prior", "generate_split", "load_split",
-    "make_benchmark", "nearest_prototype_accuracy", "question_template",
-    "save_split",
-    "__version__",
-]

@@ -2,9 +2,10 @@
 
 The graph is a tape of ``Tensor`` nodes; each operation records a closure
 that routes the upstream gradient to its inputs with the exact analytic
-rule.  Everything runs in 64-bit and single-threaded numpy, so identical
-inputs give bitwise-identical outputs, which the training-equivalence and
-determinism tests rely on.
+rule.  Everything runs in 64-bit numpy with a fixed summation order
+(repeated embedding rows are summed by ``np.bincount``, in input order),
+so identical inputs give bitwise-identical outputs, which the
+training-equivalence and determinism tests rely on.
 """
 from __future__ import annotations
 
@@ -30,9 +31,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> "Tensor":
         """Forward-identity node with no parents: a hard gradient barrier.
@@ -60,7 +58,9 @@ class Parameter(Tensor):
     """A trainable leaf: value plus gradient and Adam accumulators.
 
     ``grad`` is always an allocated array (zero after ``zero_grad``), so
-    barrier tests can assert exact zeros rather than ``None``.
+    barrier tests can assert exact zeros rather than ``None``.  In a set
+    from :func:`flat_parameters` the four arrays are views into flat
+    buffers, and only the flat Parameter's ``step_count`` advances.
     """
 
     __slots__ = ("adam_m", "adam_v", "step_count", "name")
@@ -97,12 +97,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def flat_parameters(arrays: dict[str, np.ndarray]) -> tuple[Parameter, dict[str, Parameter]]:
+    """One Parameter over all of ``arrays`` concatenated, and a named view per array.
+
+    Each view's ``data``, ``grad``, ``adam_m`` and ``adam_v`` are slices of
+    the flat Parameter's, so stepping or zeroing the flat one updates
+    every view with a few whole-buffer operations.
+    """
+    flat = Parameter(np.concatenate([np.ravel(a) for a in arrays.values()]))
+    views, start = {}, 0
+    for name, array in arrays.items():
+        end, shape = start + np.size(array), np.shape(array)
+        views[name] = view = Parameter(flat.data[start:end].reshape(shape), name=name)
+        view.grad, view.adam_m, view.adam_v = (
+            buf[start:end].reshape(shape) for buf in (flat.grad, flat.adam_m, flat.adam_v))
+        start = end
+    return flat, views
+
+
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += grad
+        node.grad = grad.copy()
+    else:
+        node.grad += grad
 
 
 def _make_node(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -138,7 +157,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y = y + b.data
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g @ w.data.T)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
         if b is not None:
             _accumulate(b, g.sum(axis=0))
@@ -194,8 +214,9 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     """Mean of embedding rows per sample: [B, T] ids over [V, E] -> [B, E].
 
-    Backward scatters g / T into the looked-up rows (np.add.at, which is
-    deterministic for repeated indices).
+    Backward sums g / T into the looked-up rows with one ``np.bincount``
+    over the flat ``row * E + col`` cell index, which adds repeated ids in
+    input order, so the result is deterministic.
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
@@ -212,33 +233,35 @@ def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        per_token = np.repeat(g / n_tokens, n_tokens, axis=0)
-        np.add.at(table.grad, ids.reshape(-1), per_token)
+        cells = np.arange(table.data.size).reshape(table.data.shape)[ids].reshape(-1)
+        per_token = np.repeat(g / n_tokens, n_tokens, axis=0).reshape(-1)
+        summed = np.bincount(cells, weights=per_token, minlength=table.data.size)
+        _accumulate(table, summed.reshape(table.data.shape))
 
     return _make_node(out, (table,), backward)
 
 
-def softmax(z) -> np.ndarray | Tensor:
-    """Row-wise softmax with max-subtraction for overflow safety.
+def softmax(z) -> np.ndarray:
+    """Row-wise softmax of a 1-D or 2-D array, max-subtracted for overflow safety.
 
-    Accepts a 1-D or 2-D array or Tensor and returns the same kind.  This
-    is a forward-only transform: gradients of the classification loss go
-    through :func:`weighted_cross_entropy`, and every other consumer of
-    softmax output (bias factors, evaluation) treats it as a constant.
+    Forward-only: gradients of the classification loss go through
+    :func:`weighted_cross_entropy`, and every other consumer of softmax
+    output (bias factors, evaluation) treats it as a constant.
     """
-    is_tensor = isinstance(z, Tensor)
-    a = z.data if is_tensor else np.asarray(z, dtype=np.float64)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[None, :]
-    shifted = a - a.max(axis=1, keepdims=True)
+    a = np.asarray(z, dtype=np.float64)
+    return softmax_parts(a[None, :])[0][0] if a.ndim == 1 else softmax_parts(a)[0]
+
+
+def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax of a 2-D array from one ``exp``.
+
+    Returns ``(probs, logp)``; both subtract the row max first for
+    overflow safety.
+    """
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    if squeeze:
-        p = p[0]
-    return Tensor(p) if is_tensor else p
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 def _check_targets(targets: np.ndarray, n_classes: int) -> np.ndarray:
@@ -252,25 +275,20 @@ def _check_targets(targets: np.ndarray, n_classes: int) -> np.ndarray:
     return t
 
 
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise log-softmax on a plain array."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def cross_entropy_per_sample(logits: np.ndarray, targets) -> np.ndarray:
     """Unweighted per-sample cross entropy, -log softmax(logits)[i, t_i]."""
     t = _check_targets(targets, logits.shape[1])
-    logp = log_softmax_rows(np.asarray(logits, dtype=np.float64))
+    logp = softmax_parts(np.asarray(logits, dtype=np.float64))[1]
     return -logp[np.arange(len(t)), t]
 
 
-def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+def weighted_cross_entropy(logits: Tensor, targets, weights, parts=None) -> Tensor:
     """Mean of per-sample cross entropy scaled by constant weights.
 
     Returns -(1/B) * sum_i weights[i] * log softmax(logits[i])[targets[i]].
     The weights carry no gradient; backward produces the analytic
-    softmax-CE gradient scaled by weights[i] / B on each row.
+    softmax-CE gradient scaled by weights[i] / B on each row.  ``parts``
+    is ``softmax_parts(logits.data)`` when the caller already has it.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"weighted_cross_entropy expects [B, C] logits, got {logits.data.shape}")
@@ -284,10 +302,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     if w.size and (w.min() < 0.0 or w.max() > 1.0):
         raise ValueError(f"weights must lie in [0, 1], got range [{w.min()}, {w.max()}]")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(e.sum(axis=1, keepdims=True))
+    probs, logp = softmax_parts(logits.data) if parts is None else parts
     rows = np.arange(batch)
     loss = -np.sum(w * logp[rows, t]) / batch
 
@@ -307,25 +322,25 @@ def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
 def zero_grad(params: Iterable[Parameter]) -> None:
     """Reset gradients to exact zeros in place."""
     for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        else:
-            p.grad[...] = 0.0
+        p.grad[...] = 0.0
 
 
 def adam_step(params: Iterable[Parameter], lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update, in place.
 
-    Gradients are left untouched; the caller zeroes them after the step.
+    Pass the flat Parameter of :func:`flat_parameters` to step a whole set
+    at once.  Gradients are left untouched; the caller zeroes them after
+    the step.
     """
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         p.step_count += 1
-        p.adam_m[...] = beta1 * p.adam_m + (1.0 - beta1) * g
-        p.adam_v[...] = beta2 * p.adam_v + (1.0 - beta2) * g * g
+        p.adam_m *= beta1
+        p.adam_m += (1.0 - beta1) * p.grad
+        p.adam_v *= beta2
+        p.adam_v += (1.0 - beta2) * p.grad * p.grad
         m_hat = p.adam_m / (1.0 - beta1 ** p.step_count)
         v_hat = p.adam_v / (1.0 - beta2 ** p.step_count)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -14,4 +14,4 @@ class DataFormatError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when training produces a non-finite loss or parameter."""

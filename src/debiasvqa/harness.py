@@ -168,7 +168,6 @@ def train(train_split: Split, config: TrainConfig,
     priors = None
     if config.variant.kind == VariantKind.PRECOMPUTED:
         priors = build_prior_table(train_split)
-    all_params = params.all_parameters()
     log = RunLog(variant=config.variant)
     n = len(train_split)
     step = 0
@@ -190,8 +189,11 @@ def train(train_split: Split, config: TrainConfig,
             total.backward()
             if record_hook is not None:
                 record_hook(epoch, step, idx, record)
-            adam_step(all_params, config.lr)
-            zero_grad(all_params)
+            adam_step([params.flat], config.lr)
+            if not np.isfinite(params.flat.data).all():
+                raise NumericalError(
+                    f"non-finite parameter after the Adam step at epoch {epoch}, step {step}")
+            zero_grad([params.flat])
             b = len(idx)
             sums["lpf"] += record.lpf * b
             sums["qo"] += record.qo * b

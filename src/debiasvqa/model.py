@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .autodiff import Parameter, Tensor, embedding_mean, linear, multiply, relu, reshape
+from .autodiff import (Parameter, Tensor, embedding_mean, flat_parameters, linear, multiply,
+                       relu, reshape)
 from .errors import ConfigError, DataFormatError, ShapeError
 
 _CHECKPOINT_MAGIC = b"DBVQCKPT"
@@ -52,10 +53,6 @@ class ModelConfig:
         if self.num_answers < 2:
             raise ConfigError(f"num_answers must be at least 2, got {self.num_answers}")
 
-    @property
-    def joint_dim(self) -> int:
-        return self.hidden_dim
-
 
 class VqaModelParams:
     """All trainable parameters, grouped by role.
@@ -63,23 +60,21 @@ class VqaModelParams:
     ``encoder_parameters`` covers everything the main answer path trains
     (embeddings, both encoders, fusion); ``qo_parameters`` is the
     question-only head.  The parameter order is fixed and shared by the
-    optimizer and the checkpoint format.
+    optimizer and the checkpoint format.  Every parameter is a view into
+    the flat Parameter ``flat``, which the optimizer steps as one array.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         self.config = config
-        self._params: dict[str, Parameter] = {
-            name: Parameter(array, name=name) for name, array in tensors.items()
-        }
-        expected = set(_parameter_shapes(config))
-        if set(self._params) != expected:
-            missing = expected - set(self._params)
-            extra = set(self._params) - expected
-            raise ConfigError(f"parameter set mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, shape in _parameter_shapes(config).items():
-            got = self._params[name].data.shape
+        shapes = _parameter_shapes(config)
+        if set(tensors) != set(shapes):
+            raise ConfigError(f"parameter set mismatch: missing={sorted(set(shapes) - set(tensors))}, "
+                              f"extra={sorted(set(tensors) - set(shapes))}")
+        for name, shape in shapes.items():
+            got = np.shape(tensors[name])
             if got != shape:
                 raise ShapeError(f"parameter {name}: expected shape {shape}, got {got}")
+        self.flat, self._params = flat_parameters({name: tensors[name] for name in shapes})
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -105,10 +100,10 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "q_enc_b": (c.q_dim,),
         "v_enc_w": (c.v_in_dim, c.v_dim),
         "v_enc_b": (c.v_dim,),
-        "fuse_proj_v": (c.v_dim, c.joint_dim),
-        "fuse_proj_v_b": (c.joint_dim,),
-        "fuse_proj_q": (c.q_dim, c.joint_dim),
-        "fuse_w1": (c.joint_dim, c.hidden_dim),
+        "fuse_proj_v": (c.v_dim, c.hidden_dim),
+        "fuse_proj_v_b": (c.hidden_dim,),
+        "fuse_proj_q": (c.q_dim, c.hidden_dim),
+        "fuse_w1": (c.hidden_dim, c.hidden_dim),
         "fuse_b1": (c.hidden_dim,),
         "fuse_w2": (c.hidden_dim, c.num_answers),
         "fuse_b2": (c.num_answers,),
@@ -298,7 +293,7 @@ def load_checkpoint(path) -> VqaModelParams:
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
         n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
         tensors[name] = data
     if pos != len(view):
         raise DataFormatError(f"trailing bytes in checkpoint {path}")

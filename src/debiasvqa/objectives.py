@@ -19,8 +19,8 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    cross_entropy_per_sample,
     softmax,
+    softmax_parts,
     weighted_cross_entropy,
 )
 from .errors import ShapeError
@@ -121,8 +121,7 @@ def alpha_from_qo(logits_qo, targets) -> np.ndarray:
     t = np.asarray(targets)
     if t.size and (t.min() < 0 or t.max() >= data.shape[1]):
         raise ShapeError(f"target out of range [0, {data.shape[1]})")
-    probs = softmax(data)
-    return probs[np.arange(len(t)), t]
+    return softmax(data)[np.arange(len(t)), t]
 
 
 def beta(alpha, gamma: float):
@@ -212,24 +211,27 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     """Assemble the full training objective for one batch.
 
     Returns the differentiable total loss plus a record of the per-sample
-    quantities.  For plain CE the weights are identically 1 (alpha is
-    still logged for observability, with an effective gamma of 0).
+    quantities, reading each head's one softmax.  For plain CE the weights
+    are identically 1 (alpha is still logged for observability, with an
+    effective gamma of 0).
     """
     t = np.asarray(targets)
-    if variant.kind in (VariantKind.CE, VariantKind.LPF):
-        alpha = alpha_from_qo(logits_qo, t)
-        gamma = 0.0 if variant.kind == VariantKind.CE else variant.gamma
+    rows = np.arange(len(t))
+    vqa_parts, qo_parts = softmax_parts(logits_vqa.data), softmax_parts(logits_qo.data)
+    # the question-only loss goes first: it checks the targets alpha is read at
+    l_qo = weighted_cross_entropy(logits_qo, t, np.ones(len(t)), parts=qo_parts)
+    if variant.kind == VariantKind.PRECOMPUTED:
+        alpha = variant_alpha(variant.kind, priors=priors, qtype_ids=qtype_ids, targets=t)
     else:
-        alpha = variant_alpha(variant.kind, logits_vqa=logits_vqa, priors=priors,
-                              qtype_ids=qtype_ids, targets=t)
-        gamma = variant.gamma
-    l_lpf = lpf_loss(logits_vqa, t, alpha, gamma)
-    l_qo = qo_loss(logits_qo, t)
+        alpha = (vqa_parts if variant.kind == VariantKind.FOCAL else qo_parts)[0][rows, t]
+    gamma = 0.0 if variant.kind == VariantKind.CE else variant.gamma
+    weights = np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64))
+    l_lpf = weighted_cross_entropy(logits_vqa, t, weights, parts=vqa_parts)
     total = total_loss(l_lpf, l_qo)
     record = BatchLossRecord(
-        ce=cross_entropy_per_sample(logits_vqa.data, t),
+        ce=-vqa_parts[1][rows, t],
         alpha=np.asarray(alpha, dtype=np.float64),
-        beta=np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64)),
+        beta=weights,
         lpf=float(l_lpf.data),
         qo=float(l_qo.data),
         total=float(total.data),

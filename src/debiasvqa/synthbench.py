@@ -305,6 +305,9 @@ def load_split(path) -> Split:
             [[float(v) for v in row] for row in header["priors"]]))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: line 1: bad prior table: {exc}") from None
+    if priors.table.shape != (config.num_qtypes, config.num_answers):
+        raise DataFormatError(f"{path}: line 1: prior table shape {priors.table.shape}, "
+                              f"expected ({config.num_qtypes}, {config.num_answers})")
     t, d = config.tokens_per_question, config.v_in_dim
     want = 1 + t + 1 + d
     samples = []
@@ -328,9 +331,13 @@ def load_split(path) -> Split:
                 f"{path}: line {lineno}: answer {answer} out of range")
         samples.append(Sample(qtype, tokens, feature, answer))
     try:
-        return Split(samples, priors, header["role"], config)
+        split = Split(samples, priors, header["role"], config)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: line 1: {exc}") from None
+    finite = np.isfinite(split.features).all(axis=-1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: line {int(np.argmin(finite)) + 2}: non-finite visual feature")
+    return split
 
 
 def nearest_prototype_accuracy(split: Split, config: BenchmarkConfig) -> float:

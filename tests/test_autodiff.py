@@ -11,6 +11,7 @@ from debiasvqa.autodiff import (
     add,
     cross_entropy_per_sample,
     embedding_mean,
+    flat_parameters,
     grad_check,
     linear,
     multiply,
@@ -255,6 +256,19 @@ def test_embedding_mean_forward_and_gradient():
     zero_grad([table2])
 
 
+def test_embedding_mean_backward_matches_add_at_bitwise():
+    rng = np.random.default_rng(11)
+    table = Parameter(rng.normal(size=(6, 5)))
+    ids = rng.integers(0, 6, size=(40, 7))
+    ids[:, 0] = 2  # every row hits id 2, many hit others more than once
+    g = rng.normal(size=(40, 5))
+    _sum_entries(multiply(embedding_mean(table, ids), Tensor(g))).backward()
+
+    expected = np.zeros((6, 5))
+    np.add.at(expected, ids.reshape(-1), np.repeat(g / 7, 7, axis=0))
+    assert np.array_equal(table.grad, expected)
+
+
 def test_detach_blocks_gradient():
     p = Parameter([[1.0, -2.0, 0.5]])
     live = weighted_cross_entropy(linear(Tensor(np.eye(1)), p), [0], np.ones(1))
@@ -313,6 +327,31 @@ def test_adam_two_steps_match_reference_recurrence():
 def test_adam_rejects_bad_lr():
     with pytest.raises(ValueError):
         adam_step([Parameter([1.0])], lr=0.0)
+
+
+def test_flat_adam_matches_per_tensor_recurrence_bitwise():
+    rng = np.random.default_rng(12)
+    arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+              "t": rng.normal(size=(2, 3, 2))}
+    flat, views = flat_parameters(arrays)
+    expected = {n: (a.copy(), np.zeros_like(a), np.zeros_like(a)) for n, a in arrays.items()}
+    for step in (1, 2, 3):
+        for name, (value, m, v) in expected.items():
+            g = rng.normal(size=value.shape)
+            views[name].grad[...] = g
+            # the textbook recurrence, one tensor at a time
+            m[...] = 0.9 * m + (1.0 - 0.9) * g
+            v[...] = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** step)
+            v_hat = v / (1.0 - 0.999 ** step)
+            value -= 3e-4 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        adam_step([flat], lr=3e-4)
+        zero_grad([flat])
+        for name, (value, m, v) in expected.items():
+            assert np.array_equal(views[name].data, value), (name, step)
+            assert np.array_equal(views[name].adam_m, m) and np.array_equal(views[name].adam_v, v)
+            assert np.array_equal(views[name].grad, np.zeros_like(value))
+    assert flat.step_count == 3
 
 
 def test_zero_grad_exact():

@@ -1,9 +1,10 @@
 """End-to-end CLI pipeline and exit-code contract."""
 import json
 
+import numpy as np
 import pytest
 
-from debiasvqa import NumericalError, load_report
+from debiasvqa import NumericalError, harness, load_report
 from debiasvqa.cli import load_config_file, main
 from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
@@ -110,6 +111,60 @@ def test_numerical_failure_exits_three(pipeline, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
     assert rc == 3
     assert "numerical" in capsys.readouterr().err
+
+
+def test_non_finite_parameter_exits_three(pipeline, tmp_path, monkeypatch, capsys):
+    real_step = harness.adam_step
+
+    def poisoned_step(params, lr):
+        for p in params:
+            p.grad[0] = np.nan
+        real_step(params, lr)
+    monkeypatch.setattr(harness, "adam_step", poisoned_step)
+    rc = main(["train", str(pipeline / "train.split"),
+               "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+    assert rc == 3
+    assert "non-finite parameter" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def _rewrite_split(src, dst, edit_header=None, edit_line=None):
+    """Copy a split file, editing its header dict or its third line."""
+    lines = src.read_text().splitlines()
+    header = json.loads(lines[0])
+    if edit_header is not None:
+        edit_header(header)
+    lines[0] = json.dumps(header, sort_keys=True)
+    if edit_line is not None:
+        lines[2] = edit_line(lines[2])
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_wrong_size_prior_table_exits_two(pipeline, tmp_path, capsys):
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split",
+                         edit_header=lambda h: h["priors"].pop())
+    rc = main(["eval", str(pipeline / "model.ckpt"), str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "prior table shape (7, 40), expected (8, 40)" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_exits_two(pipeline, tmp_path, capsys, value):
+    def corrupt(line):
+        fields = line.split()
+        fields[-1] = value
+        return " ".join(fields)
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split", edit_line=corrupt)
+    for argv in (["eval", str(pipeline / "model.ckpt"), str(bad)],
+                 ["train", str(bad), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 3: non-finite visual feature" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

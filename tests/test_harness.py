@@ -1,5 +1,6 @@
 """Training loop, evaluation, sweeps, and report files."""
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -7,20 +8,25 @@ import pytest
 
 from conftest import toy_benchmark_config, toy_model_config
 from debiasvqa import (
+    BenchmarkConfig,
     LossVariant,
     Split,
     TrainConfig,
     adam_step,
     batch_objective,
+    build_priors,
     evaluate,
+    generate_split,
     init_params,
     kl_divergence,
     load_report,
     make_benchmark,
+    save_checkpoint,
     sweep_gamma,
     train,
     zero_grad,
 )
+from debiasvqa.cli import model_config_for
 from debiasvqa.errors import ConfigError, DataFormatError
 from debiasvqa.harness import (
     REPORT_CSV_COLUMNS,
@@ -382,3 +388,61 @@ def test_load_report_rejects_garbage(tmp_path):
     bad.write_text(json.dumps({"format_version": 99, "rows": []}))
     with pytest.raises(DataFormatError, match="version"):
         load_report(bad)
+
+
+# ---------------------------------------------------------------------------
+# pinned checkpoints
+# ---------------------------------------------------------------------------
+
+# SHA-256 of checkpoints trained for 3 epochs on a 1000-sample default
+# split, recorded before the training step was fused (per-tensor Adam,
+# np.add.at embedding backward, softmax recomputed per consumer).  Floats
+# may round differently under another BLAS or numpy build, so the pins
+# hold only for the build they were recorded with.
+PINNED_BUILD = {"numpy": "2.4.6", "blas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                                           "NO_AFFINITY Haswell MAX_THREADS=64"}
+PINNED_CHECKPOINTS = {
+    "0-ce": "59379c7bb47090343b628d542b706f5154741588c79c30fa9751f5531fc1c758",
+    "0-lpf5": "714b12b5d17d9646d693c68a38d30d5e30a98437c708d300d9b06b869f6200e9",
+    "0-focal": "96b718890c6c0e6377c20aa1a38d520e439caa476219fbbc5f9199346f9560ee",
+    "0-precomputed": "4ae17530c3ca424e2ff8ae01d5120483ffe331ef3b6f2ddc191083341f78abbf",
+    "1-ce": "4e3fcfcf832c76e55f20bb72afee8c4416778fa990d73ea5dcfb21a6b901364b",
+    "1-lpf5": "fc6d7d0f576daa5dc60d51842da7342038e65b9b143bf6020f5bb27e202b35c2",
+    "1-focal": "ee113c9562ded1d48ce06755f500589ba4225948de23912e76573e514015311d",
+    "1-precomputed": "408570853d0ce3097c52e07de828cb77ebd7699b3fd9e13fb54bedb25ba5c4a8",
+    "2-ce": "7e60521daed170007f1ad5c5ecb426b48526cab10f817baf9341817f929a4bdf",
+    "2-lpf5": "ca6164a6f9373acd19a9fe03d62975f5998af3c0da2c334eb2d400798abc5b92",
+    "2-focal": "e3cedc284274adeab841c13c4f007ff2cecdfb5f53efa93334bfedd23c78692e",
+    "2-precomputed": "5d92e33c9cedf92769128f5ba702a82295f20d090198c5fb8f1395b5f0f8318b",
+    "3-ce": "e7f7786dc23c57eebd0ca9cc3b0cec6433aaf3de005df31640d0dddffa3a5549",
+    "3-lpf5": "ab3c64b50ec7ec71045a6428cfefc425adbb36998bd6d88373aa64823ed80dbb",
+    "3-focal": "394bc4045fa28fae2e0dfd38c2dd2e36552ad05d3d54366d29887b1e98c484ee",
+    "3-precomputed": "0ad729450fa46833cafb78a5fd2b831af4b6140e53603725bc05a1c1cefd8baf",
+    "4-ce": "179642b4db30aaae46a314a4f1cc544c6a1cbff396ec15feaced2ee309bec307",
+    "4-lpf5": "09449b7023941cf70b51e29a0ac0654fecdbc26fa77e4bfa31eebccecacd4c88",
+    "4-focal": "e5431ed64e0396659736403fc443002e4958ffde6568f9304a980286ffc63f10",
+    "4-precomputed": "626aa48acceec2af89ddd2a52138357c6aecd2c065a10307429a560bc61b03a8",
+}
+PINNED_VARIANTS = {"ce": LossVariant.ce(), "lpf5": LossVariant.lpf(5.0),
+                   "focal": LossVariant.focal(), "precomputed": LossVariant.precomputed()}
+
+
+def _numpy_build() -> dict:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("openblas configuration")}
+
+
+@pytest.mark.skipif(_numpy_build() != PINNED_BUILD,
+                    reason=f"numpy/BLAS build {_numpy_build()} differs from the pinned {PINNED_BUILD}")
+@pytest.mark.parametrize("seed", range(5))
+def test_checkpoints_match_pinned_digests(seed, tmp_path):
+    bench = BenchmarkConfig(seed=seed, n_train=1000, n_test=40)
+    split = generate_split(build_priors(bench)[0], bench.n_train, "train", bench)
+    for name, variant in PINNED_VARIANTS.items():
+        config = TrainConfig(variant=variant, model=model_config_for(bench, seed),
+                             epochs=3, seed=seed)
+        params, _ = train(split, config)
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(params, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_CHECKPOINTS[f"{seed}-{name}"], name
