@@ -17,8 +17,8 @@ from debiasvqa import (
     answer_block,
     bayes_qo_accuracy,
     bias_trap_accuracy,
+    build_prior_table,
     build_priors,
-    empirical_prior,
     load_split,
     make_benchmark,
     nearest_prototype_accuracy,
@@ -43,7 +43,7 @@ print("  p_shifted  " + "  ".join(f"{test_priors.row(0)[a]:6.3f}" for a in block
 print("  (same masses, opposite rank order)")
 
 print("\n= stratification is exact, not sampled =")
-emp = empirical_prior(train_split)
+emp = build_prior_table(train_split)
 err = np.abs(emp.table - train_priors.table).max()
 n_per = config.n_train // config.num_qtypes
 print(f"  max |empirical - generating| over all cells: {err:.2e}")
@@ -62,5 +62,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "train.split"
     save_split(train_split, path)
     loaded = load_split(path)
-    same = loaded.samples == train_split.samples
+    same = all(np.array_equal(getattr(loaded, c), getattr(train_split, c))
+               for c in ("qtypes", "tokens", "answers", "features"))
     print(f"  wrote {path.stat().st_size} bytes; reloaded equal: {same}")

@@ -57,14 +57,12 @@ from .objectives import (
 )
 from .synthbench import (
     BenchmarkConfig,
-    Sample,
     Split,
     answer_block,
     bayes_qo_accuracy,
     bias_trap_accuracy,
     build_priors,
     cell_prototypes,
-    empirical_prior,
     generate_split,
     load_split,
     make_benchmark,

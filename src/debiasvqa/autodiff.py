@@ -201,16 +201,6 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(a.data * b.data, (a, b), backward)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """View with a new shape; gradient is reshaped back."""
-    original = x.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(original))
-
-    return _make_node(x.data.reshape(shape), (x,), backward)
-
-
 def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     """Mean of embedding rows per sample: [B, T] ids over [V, E] -> [B, E].
 
@@ -364,9 +354,9 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], h: float = 
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + h
-            f_plus = float(f().data)
+            f_plus = f().data.item()
             flat[i] = saved - h
-            f_minus = float(f().data)
+            f_minus = f().data.item()
             flat[i] = saved
             fd = (f_plus - f_minus) / (2.0 * h)
             err = abs(gflat[i] - fd) / max(1.0, abs(fd))

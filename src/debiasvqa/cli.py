@@ -272,10 +272,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(options, args.report)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (DataFormatError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataFormatError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

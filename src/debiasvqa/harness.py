@@ -141,7 +141,7 @@ def check_compatible(split: Split, model: ModelConfig) -> None:
 
 
 def epoch_order(config: TrainConfig, epoch: int, n: int) -> np.ndarray:
-    """Sample visitation order for one epoch, reproducible per seed."""
+    """Visitation order of the samples for one epoch, reproducible per seed."""
     if not config.shuffle:
         return np.arange(n)
     return permutation(mix_seed(config.seed, "epoch", epoch), n)
@@ -164,6 +164,8 @@ def train(train_split: Split, config: TrainConfig,
     the backward pass, before the optimizer step.
     """
     check_compatible(train_split, config.model)
+    if len(train_split) == 0:
+        raise ValueError("cannot train on an empty split")
     params = init_params(config.model)
     priors = None
     if config.variant.kind == VariantKind.PRECOMPUTED:
@@ -232,7 +234,7 @@ def evaluate(params: VqaModelParams, split: Split,
     carries per-qtype KL from the predicted distribution to those priors,
     which measures how much the model still follows the training prior.
     """
-    if not split.samples:
+    if len(split) == 0:
         raise ValueError("cannot evaluate on an empty split")
     check_compatible(split, params.config)
     q = encode_question(split.tokens, params)

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .autodiff import (Parameter, Tensor, embedding_mean, flat_parameters, linear, multiply,
-                       relu, reshape)
+from .autodiff import Parameter, Tensor, embedding_mean, flat_parameters, linear, multiply, relu
 from .errors import ConfigError, DataFormatError, ShapeError
 
 _CHECKPOINT_MAGIC = b"DBVQCKPT"
@@ -135,98 +134,60 @@ def init_params(config: ModelConfig) -> VqaModelParams:
     return VqaModelParams(config, tensors)
 
 
-def _as_token_batch(tokens, vocab_size: int) -> tuple[np.ndarray, bool]:
+def _as_token_batch(tokens, vocab_size: int) -> np.ndarray:
     ids = np.asarray(tokens)
     if ids.size == 0:
-        raise ShapeError("token sequence must be nonempty")
+        raise ShapeError("token batch must be nonempty")
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"token ids must be integers, got dtype {ids.dtype}")
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
-    if ids.ndim != 2:
-        raise ShapeError(f"tokens must be a sequence or [B, T] batch, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise ShapeError(f"token id out of vocabulary [0, {vocab_size}): min={ids.min()}, max={ids.max()}")
-    return ids, single
-
-
-def _as_feature_batch(feature, v_in_dim: int) -> tuple[Tensor, bool]:
-    arr = np.asarray(feature, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != v_in_dim:
-        raise ShapeError(f"visual feature must have length {v_in_dim}, got shape {np.asarray(feature).shape}")
-    return Tensor(arr), single
+    return ids
 
 
 def encode_question(tokens, params: VqaModelParams) -> Tensor:
     """Embed tokens, mean-pool, and project: [B, T] ids -> [B, q_dim].
 
-    A single 1-D sequence yields a 1-D embedding.  Mean pooling makes the
-    encoding order-invariant, which is all the template questions need.
+    Mean pooling makes the encoding order-invariant, which is all the
+    template questions need.
     """
-    ids, single = _as_token_batch(tokens, params.config.vocab_size)
+    ids = _as_token_batch(tokens, params.config.vocab_size)
     pooled = embedding_mean(params["token_embeddings"], ids)
-    q = linear(pooled, params["q_enc_w"], params["q_enc_b"])
-    return reshape(q, (params.config.q_dim,)) if single else q
+    return linear(pooled, params["q_enc_w"], params["q_enc_b"])
 
 
 def encode_visual(feature, params: VqaModelParams) -> Tensor:
     """Affine map plus ReLU: [B, v_in_dim] -> [B, v_dim]."""
-    x, single = _as_feature_batch(feature, params.config.v_in_dim)
-    v = relu(linear(x, params["v_enc_w"], params["v_enc_b"]))
-    return reshape(v, (params.config.v_dim,)) if single else v
-
-
-def _rows(t: Tensor, width: int, what: str) -> tuple[Tensor, bool]:
-    if t.data.ndim == 1:
-        if t.data.shape[0] != width:
-            raise ShapeError(f"{what} must have length {width}, got {t.data.shape[0]}")
-        return reshape(t, (1, width)), True
-    if t.data.ndim != 2 or t.data.shape[1] != width:
-        raise ShapeError(f"{what} must be [B, {width}], got shape {t.data.shape}")
-    return t, False
+    return relu(linear(Tensor(feature), params["v_enc_w"], params["v_enc_b"]))
 
 
 def predict_vqa(v_emb: Tensor, q: Tensor, params: VqaModelParams) -> Tensor:
-    """Answer logits from both modalities.
+    """Answer logits from both modalities: [B, v_dim] and [B, q_dim] -> [B, A].
 
     The two embeddings are projected (bias-free) into a shared joint
     space and multiplied elementwise, so a zero question or zero image
     annihilates the joint vector; a 2-layer MLP maps the product to
     logits.
     """
-    c = params.config
-    v2, v_single = _rows(v_emb, c.v_dim, "visual embedding")
-    q2, q_single = _rows(q, c.q_dim, "question embedding")
-    if v2.data.shape[0] != q2.data.shape[0]:
-        raise ShapeError(f"batch mismatch: visual {v2.data.shape[0]} vs question {q2.data.shape[0]}")
     # the question projection is bias-free so a zero question annihilates
     # the joint vector; the visual projection keeps a bias, which gives
     # the product a question-passthrough channel
-    joint = multiply(linear(v2, params["fuse_proj_v"], params["fuse_proj_v_b"]),
-                     linear(q2, params["fuse_proj_q"]))
+    joint = multiply(linear(v_emb, params["fuse_proj_v"], params["fuse_proj_v_b"]),
+                     linear(q, params["fuse_proj_q"]))
     hidden = relu(linear(joint, params["fuse_w1"], params["fuse_b1"]))
-    logits = linear(hidden, params["fuse_w2"], params["fuse_b2"])
-    return reshape(logits, (c.num_answers,)) if (v_single and q_single) else logits
+    return linear(hidden, params["fuse_w2"], params["fuse_b2"])
 
 
 def predict_qo(q: Tensor, params: VqaModelParams) -> Tensor:
-    """Question-only answer logits from a detached question embedding.
+    """Question-only answer logits from a detached question embedding: [B, q_dim] -> [B, A].
 
     The detach is a hard stop-gradient: any loss on these logits trains
     only the qo_* weights, and the gradient reaching the token embeddings
     and encoders through this path is exactly zero.
     """
-    c = params.config
-    q2, single = _rows(q, c.q_dim, "question embedding")
-    h = q2.detach()
-    h = relu(linear(h, params["qo_w1"], params["qo_b1"]))
+    h = relu(linear(q.detach(), params["qo_w1"], params["qo_b1"]))
     h = relu(linear(h, params["qo_w2"], params["qo_b2"]))
-    logits = linear(h, params["qo_w3"], params["qo_b3"])
-    return reshape(logits, (c.num_answers,)) if single else logits
+    return linear(h, params["qo_w3"], params["qo_b3"])
 
 
 # ---------------------------------------------------------------------------

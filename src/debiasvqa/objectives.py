@@ -183,21 +183,10 @@ def build_prior_table(split) -> PriorTable:
     Every question type must occur at least once; rows are normalized
     counts over the full answer vocabulary.
     """
-    samples = split.samples
-    if not samples:
+    if len(split.answers) == 0:
         raise ValueError("cannot build a prior table from an empty split")
-    return prior_table_from_counts(
-        np.array([s.qtype_id for s in samples]),
-        np.array([s.answer_id for s in samples]),
-        split.num_qtypes,
-        split.num_answers,
-    )
-
-
-def prior_table_from_counts(qtype_ids: np.ndarray, answer_ids: np.ndarray,
-                            num_qtypes: int, num_answers: int) -> PriorTable:
-    counts = np.zeros((num_qtypes, num_answers))
-    np.add.at(counts, (qtype_ids, answer_ids), 1.0)
+    counts = np.zeros((split.num_qtypes, split.num_answers))
+    np.add.at(counts, (split.qtypes, split.answers), 1.0)
     totals = counts.sum(axis=1)
     if (totals == 0).any():
         missing = int(np.argmin(totals))

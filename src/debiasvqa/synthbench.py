@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .objectives import PriorTable, prior_table_from_counts
+from .objectives import PriorTable
 from .rng import gaussian, mix_seed, uniform_stream
 
 SPLIT_FORMAT_VERSION = 1
@@ -76,27 +76,21 @@ class BenchmarkConfig:
 
 
 @dataclass(eq=False)
-class Sample:
-    qtype_id: int
-    question_tokens: tuple[int, ...]
-    visual_feature: np.ndarray
-    answer_id: int
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Sample)
-                and self.qtype_id == other.qtype_id
-                and self.question_tokens == other.question_tokens
-                and self.answer_id == other.answer_id
-                and np.array_equal(self.visual_feature, other.visual_feature))
-
-
-@dataclass
 class Split:
-    samples: list[Sample]
+    """A split as four row-aligned columns over its N samples.
+
+    ``qtypes`` [N] and ``answers`` [N] are int64 ids, ``tokens`` [N, T]
+    holds each row's question template (int64), and ``features``
+    [N, v_in_dim] the float64 visual features.  Row i of every column is
+    sample i.
+    """
+    qtypes: np.ndarray
+    tokens: np.ndarray
+    answers: np.ndarray
+    features: np.ndarray
     priors: PriorTable
     role: str
     config: BenchmarkConfig
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ("train", "test"):
@@ -110,39 +104,20 @@ class Split:
     def num_answers(self) -> int:
         return self.config.num_answers
 
-    def _column(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def tokens(self) -> np.ndarray:
-        return self._column("tokens", lambda: np.array(
-            [s.question_tokens for s in self.samples], dtype=np.int64))
-
-    @property
-    def features(self) -> np.ndarray:
-        return self._column("features", lambda: np.array(
-            [s.visual_feature for s in self.samples]))
-
-    @property
-    def answers(self) -> np.ndarray:
-        return self._column("answers", lambda: np.array(
-            [s.answer_id for s in self.samples], dtype=np.int64))
-
-    @property
-    def qtypes(self) -> np.ndarray:
-        return self._column("qtypes", lambda: np.array(
-            [s.qtype_id for s in self.samples], dtype=np.int64))
-
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.answers)
 
 
 def question_template(qtype_id: int, config: BenchmarkConfig) -> tuple[int, ...]:
     """Fixed token ids for a question type; disjoint across types."""
     base = qtype_id * config.tokens_per_question
     return tuple(range(base, base + config.tokens_per_question))
+
+
+def _templates(qtypes: np.ndarray, config: BenchmarkConfig) -> np.ndarray:
+    """Row i is ``question_template(qtypes[i], config)``: [N] -> [N, T]."""
+    t = config.tokens_per_question
+    return qtypes[:, None] * t + np.arange(t)
 
 
 def answer_block(qtype_id: int, config: BenchmarkConfig) -> range:
@@ -215,23 +190,26 @@ def generate_split(priors: PriorTable, n: int, role: str,
     seed = mix_seed(config.seed, "split", role,
                     priors.table.tobytes().hex(), n)
     gen = uniform_stream(seed)
-    samples: list[Sample] = []
+    blocks, qtypes, answers = [], [], []
     for q in range(k):
-        tokens = question_template(q, config)
         block = answer_block(q, config)
         counts = _largest_remainder(priors.row(q), int(per_qtype[q]))
         for a_global in block:
             c = int(counts[a_global])
             if c == 0:
                 continue
-            a_local = a_global - block.start
             noise = gaussian(gen, (c, config.v_in_dim))
-            feats = protos[q, a_local] * config.prototype_scale + noise * config.noise_std
-            for i in range(c):
-                samples.append(Sample(q, tokens, feats[i], a_global))
-    order = gen.permutation(len(samples))
-    samples = [samples[i] for i in order]
-    return Split(samples, priors, role, config)
+            blocks.append(protos[q, a_global - block.start] * config.prototype_scale
+                          + noise * config.noise_std)
+            qtypes += [q] * c
+            answers += [a_global] * c
+    order = gen.permutation(len(answers))
+    qtypes = np.array(qtypes, dtype=np.int64)[order]
+    return Split(qtypes=qtypes,
+                 tokens=_templates(qtypes, config),
+                 answers=np.array(answers, dtype=np.int64)[order],
+                 features=np.concatenate(blocks)[order],
+                 priors=priors, role=role, config=config)
 
 
 def make_benchmark(config: BenchmarkConfig) -> tuple[Split, Split, Split]:
@@ -245,14 +223,6 @@ def make_benchmark(config: BenchmarkConfig) -> tuple[Split, Split, Split]:
     id_test = generate_split(train_priors, config.n_test, "test", config)
     ood_test = generate_split(test_priors, config.n_test, "test", config)
     return train, id_test, ood_test
-
-
-def empirical_prior(split: Split) -> PriorTable:
-    """Observed per-qtype answer distribution; exact for generated splits."""
-    if not split.samples:
-        raise ValueError("cannot compute a prior from an empty split")
-    return prior_table_from_counts(split.qtypes, split.answers,
-                                   split.num_qtypes, split.num_answers)
 
 
 def save_split(split: Split, path) -> None:
@@ -269,15 +239,23 @@ def save_split(split: Split, path) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in split.samples:
-            parts = [str(s.qtype_id)]
-            parts += [str(t) for t in s.question_tokens]
-            parts.append(str(s.answer_id))
-            parts += [f"{v:.17g}" for v in s.visual_feature]
+        for q, tokens, a, feature in zip(split.qtypes.tolist(), split.tokens.tolist(),
+                                         split.answers.tolist(), split.features.tolist()):
+            parts = [str(q)]
+            parts += [str(v) for v in tokens]
+            parts.append(str(a))
+            parts += [f"{v:.17g}" for v in feature]
             fh.write(" ".join(parts) + "\n")
 
 
 def load_split(path) -> Split:
+    """Read a split written by :func:`save_split`.
+
+    Raises DataFormatError naming the first bad line for a malformed
+    header or row, a header fingerprint that does not match its config,
+    a non-finite feature, tokens that are not their question type's
+    template, or an answer outside its question type's block.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -293,13 +271,16 @@ def load_split(path) -> Split:
         raise DataFormatError(
             f"{path}: line 1: format version {version!r}, "
             f"expected {SPLIT_FORMAT_VERSION}")
-    for key in ("config", "priors", "role"):
+    for key in ("config", "fingerprint", "priors", "role"):
         if key not in header:
             raise DataFormatError(f"{path}: line 1: header missing {key!r}")
     try:
         config = BenchmarkConfig(**header["config"])
     except (TypeError, ConfigError) as exc:
         raise DataFormatError(f"{path}: line 1: bad config: {exc}") from None
+    if header["fingerprint"] != config.fingerprint():
+        raise DataFormatError(f"{path}: line 1: fingerprint {header['fingerprint']!r} does not "
+                              f"match its config ({config.fingerprint()!r})")
     try:
         priors = PriorTable(np.array(
             [[float(v) for v in row] for row in header["priors"]]))
@@ -308,20 +289,26 @@ def load_split(path) -> Split:
     if priors.table.shape != (config.num_qtypes, config.num_answers):
         raise DataFormatError(f"{path}: line 1: prior table shape {priors.table.shape}, "
                               f"expected ({config.num_qtypes}, {config.num_answers})")
-    t, d = config.tokens_per_question, config.v_in_dim
+    t, d, n = config.tokens_per_question, config.v_in_dim, len(lines) - 1
     want = 1 + t + 1 + d
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    qtypes, answers = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    try:
+        tokens, features = np.empty((n, t), dtype=np.int64), np.empty((n, d))
+    except MemoryError:
+        raise DataFormatError(f"{path}: line 1: {n} rows of {want} fields do not fit "
+                              f"in memory") from None
+    for i, line in enumerate(lines[1:]):
+        lineno = i + 2
         fields = line.split()
         if len(fields) != want:
             raise DataFormatError(
                 f"{path}: line {lineno}: expected {want} fields, got {len(fields)}")
         try:
             qtype = int(fields[0])
-            tokens = tuple(int(v) for v in fields[1:1 + t])
+            tokens[i] = [int(v) for v in fields[1:1 + t]]
             answer = int(fields[1 + t])
-            feature = np.array([float(v) for v in fields[2 + t:]])
-        except ValueError as exc:
+            features[i] = [float(v) for v in fields[2 + t:]]
+        except (ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
         if not 0 <= qtype < config.num_qtypes:
             raise DataFormatError(
@@ -329,14 +316,19 @@ def load_split(path) -> Split:
         if not 0 <= answer < config.num_answers:
             raise DataFormatError(
                 f"{path}: line {lineno}: answer {answer} out of range")
-        samples.append(Sample(qtype, tokens, feature, answer))
+        qtypes[i], answers[i] = qtype, answer
     try:
-        split = Split(samples, priors, header["role"], config)
+        split = Split(qtypes, tokens, answers, features, priors, header["role"], config)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: line 1: {exc}") from None
-    finite = np.isfinite(split.features).all(axis=-1)
-    if not finite.all():
-        raise DataFormatError(f"{path}: line {int(np.argmin(finite)) + 2}: non-finite visual feature")
+    checks = ((~np.isfinite(features).all(axis=1), "non-finite visual feature"),
+              ((tokens != _templates(qtypes, config)).any(axis=1),
+               "tokens are not their question type's template"),
+              (answers // config.answers_per_qtype != qtypes,
+               "answer outside its question type's block"))
+    for bad, what in checks:
+        if bad.any():
+            raise DataFormatError(f"{path}: line {int(np.argmax(bad)) + 2}: {what}")
     return split
 
 

@@ -16,7 +16,6 @@ from debiasvqa.autodiff import (
     linear,
     multiply,
     relu,
-    reshape,
     softmax,
     weighted_cross_entropy,
     zero_grad,
@@ -94,28 +93,31 @@ def test_relu_values():
 
 
 def test_relu_all_negative_blocks_gradient():
-    x = Parameter([-1.0, -2.0, -3.0])
+    x = Parameter([[-1.0, -2.0, -3.0]])
     y = relu(x)
-    assert np.array_equal(y.data, np.zeros(3))
-    s = weighted_cross_entropy(reshape(y, (1, 3)), [0], np.ones(1))
+    assert np.array_equal(y.data, np.zeros((1, 3)))
+    s = weighted_cross_entropy(y, [0], np.ones(1))
     s.backward()
     # softmax grad is nonzero, but relu passes none of it at negative inputs
-    assert np.array_equal(x.grad, np.zeros(3))
+    assert np.array_equal(x.grad, np.zeros((1, 3)))
     zero_grad([x])
 
 
 def test_relu_subgradient_pattern():
     # upstream gradient [1, 1] arrives via a plain sum of the outputs
-    x = Parameter([3.0, -3.0])
+    x = Parameter([[3.0, -3.0]])
     _sum_entries(relu(x)).backward()
-    assert np.array_equal(x.grad, [1.0, 0.0])
+    assert np.array_equal(x.grad, [[1.0, 0.0]])
     zero_grad([x])
 
 
 def _sum_entries(t: Tensor) -> Tensor:
-    n = t.data.size
-    ones = Tensor(np.ones((n, 1)))
-    return reshape(linear(reshape(t, (1, n)), ones), ())
+    """Sum of a [B, n] tensor's entries as a [1, 1] node, ones @ t @ ones.
+
+    The upstream gradient reaching ``t`` is exactly one in every entry.
+    """
+    rows, n = t.data.shape
+    return linear(linear(Tensor(np.ones((1, rows))), t), Tensor(np.ones((n, 1))))
 
 
 # ---------------------------------------------------------------------------

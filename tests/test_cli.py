@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from debiasvqa import NumericalError, harness, load_report
+from debiasvqa import BenchmarkConfig, NumericalError, harness, load_report
 from debiasvqa.cli import load_config_file, main
 from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
@@ -165,6 +165,67 @@ def test_non_finite_feature_exits_two(pipeline, tmp_path, capsys, value):
         assert "line 3: non-finite visual feature" in err
         assert err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def _edit_field(index, edit):
+    """Line edit for _rewrite_split: rewrite one whitespace-separated field."""
+    def edit_line(line):
+        fields = line.split()
+        fields[index] = str(edit(int(fields[index])))
+        return " ".join(fields)
+    return edit_line
+
+
+@pytest.mark.parametrize("edits, message", [
+    # default config: 4 tokens per question, 5 answers per question type
+    ({"edit_line": _edit_field(1, lambda t: (t + 4) % 32)},
+     "line 3: tokens are not their question type's template"),
+    ({"edit_line": _edit_field(5, lambda a: (a + 5) % 40)},
+     "line 3: answer outside its question type's block"),
+    ({"edit_header": lambda h: h["config"].update(seed=1)},
+     "line 1: fingerprint"),
+], ids=["template", "block", "fingerprint"])
+def test_split_contract_violation_exits_two(pipeline, tmp_path, capsys, edits, message):
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split", **edits)
+    for argv in (["eval", str(pipeline / "model.ckpt"), str(bad)],
+                 ["train", str(bad), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_oversized_split_dims_exit_two(pipeline, tmp_path, capsys):
+    def oversize(header):
+        header["config"]["v_in_dim"] = 10 ** 12
+        header["fingerprint"] = BenchmarkConfig(**header["config"]).fingerprint()
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split",
+                         edit_header=oversize)
+    assert main(["eval", str(pipeline / "model.ckpt"), str(bad)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_train_on_empty_split_exits_two(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.split"
+    empty.write_text((pipeline / "train.split").read_text().splitlines()[0] + "\n")
+    rc = main(["train", str(empty), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "empty split" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-checkpoint", "eval-split"])
+def test_directory_path_exits_two(pipeline, tmp_path, capsys, command):
+    argv = {"train": ["train", str(tmp_path), "--out", str(tmp_path / "m.ckpt")],
+            "eval-checkpoint": ["eval", str(tmp_path), str(pipeline / "id_test.split")],
+            "eval-split": ["eval", str(pipeline / "model.ckpt"), str(tmp_path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "directory" in err.lower()
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -290,11 +290,14 @@ def test_evaluate_train_prior_kl(toy):
 def test_evaluate_rejects_empty_and_missing_qtypes(toy):
     cfg, train_s, _, _, mc = toy
     params = init_params(mc)
+
+    def rows(mask):
+        return Split(train_s.qtypes[mask], train_s.tokens[mask], train_s.answers[mask],
+                     train_s.features[mask], train_s.priors, "test", cfg)
     with pytest.raises(ValueError):
-        evaluate(params, Split([], train_s.priors, "test", cfg))
-    only_first = [s for s in train_s.samples if s.qtype_id == 0]
+        evaluate(params, rows(np.zeros(len(train_s), dtype=bool)))
     with pytest.raises(ValueError, match="question type 1"):
-        evaluate(params, Split(only_first, train_s.priors, "test", cfg))
+        evaluate(params, rows(train_s.qtypes == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ def test_model_config_rejects_bad_dims():
 
 def test_encode_question_single_token():
     params = init_params(toy_model_config(seed=2))
-    q = encode_question(np.array([1]), params)
+    q = encode_question(np.array([[1]]), params)
     emb = params["token_embeddings"].data[1]
     expected = emb @ params["q_enc_w"].data + params["q_enc_b"].data
-    assert np.array_equal(q.data, expected)
+    assert np.array_equal(q.data, expected[None, :])
 
 
 def test_encode_question_order_invariant():
@@ -94,9 +94,11 @@ def test_encode_question_order_invariant():
 def test_encode_question_rejects_bad_tokens():
     params = init_params(toy_model_config(seed=2))
     with pytest.raises(ShapeError):
-        encode_question(np.array([], dtype=np.int64), params)
+        encode_question(np.zeros((1, 0), dtype=np.int64), params)
     with pytest.raises(ShapeError):
-        encode_question(np.array([99]), params)
+        encode_question(np.array([[99]]), params)
+    with pytest.raises(ShapeError):
+        encode_question(np.array([[0.0, 1.0]]), params)
 
 
 def test_encode_question_embedding_gradient():
@@ -119,22 +121,22 @@ def test_encode_question_embedding_gradient():
 
 def test_encode_visual_zero_feature_zero_embedding():
     params = init_params(toy_model_config(seed=1))
-    v = encode_visual(np.zeros(4), params)
-    assert np.array_equal(v.data, np.zeros(4))
+    v = encode_visual(np.zeros((1, 4)), params)
+    assert np.array_equal(v.data, np.zeros((1, 4)))
 
 
 def test_encode_visual_identity_relu_noop():
     params = init_params(toy_model_config(seed=1))
     params["v_enc_w"].data[...] = np.eye(4)
     params["v_enc_b"].data[...] = 0.0
-    x = np.array([0.5, 0.0, 2.0, 1.0])
+    x = np.array([[0.5, 0.0, 2.0, 1.0]])
     assert np.array_equal(encode_visual(x, params).data, x)
 
 
 def test_encode_visual_rejects_bad_length():
     params = init_params(toy_model_config(seed=1))
     with pytest.raises(ShapeError):
-        encode_visual(np.zeros(5), params)
+        encode_visual(np.zeros((1, 5)), params)
 
 
 def test_encode_visual_gradient():
@@ -157,9 +159,9 @@ def test_encode_visual_gradient():
 def test_predict_vqa_zero_question_gives_output_bias():
     params = init_params(toy_model_config(seed=3))
     params["fuse_b2"].data[...] = [1.0, -2.0, 0.5, 3.0]
-    v = encode_visual(np.ones(4), params)
-    logits = predict_vqa(v, Tensor(np.zeros(4)), params)
-    assert np.array_equal(logits.data, [1.0, -2.0, 0.5, 3.0])
+    v = encode_visual(np.ones((1, 4)), params)
+    logits = predict_vqa(v, Tensor(np.zeros((1, 4))), params)
+    assert np.array_equal(logits.data, [[1.0, -2.0, 0.5, 3.0]])
 
 
 def test_predict_vqa_all_zero_weights_uniform_softmax():
@@ -167,7 +169,7 @@ def test_predict_vqa_all_zero_weights_uniform_softmax():
     params = init_params(toy_model_config(seed=3))
     for name in params.names():
         params[name].data[...] = 0.0
-    logits = predict_vqa(Tensor(np.ones(4)), Tensor(np.ones(4)), params)
+    logits = predict_vqa(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), params)
     assert np.allclose(softmax(logits.data), 0.25, atol=1e-15)
 
 
@@ -189,14 +191,14 @@ def test_predict_vqa_hand_computation():
     joint = pv * pq                                                      # [4.5, 14.0]
     hidden = np.maximum(joint @ params["fuse_w1"].data + [0.1, 0.2], 0)  # [32.6, 0]
     expected = hidden @ params["fuse_w2"].data + [0.0, 1.0]
-    got = predict_vqa(Tensor(v), Tensor(q), params)
-    assert np.array_equal(got.data, expected)
+    got = predict_vqa(Tensor(v[None, :]), Tensor(q[None, :]), params)
+    assert np.array_equal(got.data, expected[None, :])
 
 
 def test_predict_vqa_rejects_dim_mismatch():
     params = init_params(toy_model_config(seed=3))
     with pytest.raises(ShapeError):
-        predict_vqa(Tensor(np.zeros(3)), Tensor(np.zeros(4)), params)
+        predict_vqa(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), params)
     with pytest.raises(ShapeError):
         predict_vqa(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), params)
 
@@ -243,13 +245,13 @@ def test_predict_qo_zero_weights_uniform():
     params = init_params(toy_model_config(seed=0))
     for name in QO_NAMES:
         params[name].data[...] = 0.0
-    logits = predict_qo(Tensor(np.ones(4)), params)
+    logits = predict_qo(Tensor(np.ones((1, 4))), params)
     assert np.allclose(softmax(logits.data), 0.25, atol=1e-15)
 
 
 def test_predict_qo_uses_all_three_layers():
     params = init_params(toy_model_config(seed=11))
-    q = Tensor(np.ones(4))
+    q = Tensor(np.ones((1, 4)))
     base = predict_qo(q, params).data.copy()
     for name in ("qo_w1", "qo_w2", "qo_w3"):
         saved = params[name].data.copy()

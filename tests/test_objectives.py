@@ -35,15 +35,10 @@ def logits_with_ce(ce: float) -> np.ndarray:
 
 @dataclass
 class FakeSplit:
-    samples: list
+    qtypes: np.ndarray
+    answers: np.ndarray
     num_qtypes: int
     num_answers: int
-
-
-@dataclass
-class FakeSample:
-    qtype_id: int
-    answer_id: int
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +290,25 @@ def test_variant_alpha_missing_prior_row_rejected():
 # ---------------------------------------------------------------------------
 
 def test_build_prior_table_counts():
-    samples = ([FakeSample(0, 0)] * 80 + [FakeSample(0, 1)] * 15 + [FakeSample(0, 2)] * 5)
-    table = build_prior_table(FakeSplit(samples, 1, 3))
+    answers = np.repeat([0, 1, 2], [80, 15, 5])
+    table = build_prior_table(FakeSplit(np.zeros(100, dtype=np.int64), answers, 1, 3))
     assert np.array_equal(table.table, [[0.8, 0.15, 0.05]])
 
 
 def test_build_prior_table_single_sample_one_hot():
-    table = build_prior_table(FakeSplit([FakeSample(0, 2)], 1, 4))
+    table = build_prior_table(FakeSplit(np.array([0]), np.array([2]), 1, 4))
     assert np.array_equal(table.table, [[0.0, 0.0, 1.0, 0.0]])
 
 
 def test_build_prior_table_empty_rejected():
     with pytest.raises(ValueError):
-        build_prior_table(FakeSplit([], 1, 2))
+        empty = np.array([], dtype=np.int64)
+        build_prior_table(FakeSplit(empty, empty, 1, 2))
 
 
 def test_build_prior_table_missing_qtype_rejected():
     with pytest.raises(ValueError):
-        build_prior_table(FakeSplit([FakeSample(0, 0)], 2, 2))
+        build_prior_table(FakeSplit(np.array([0]), np.array([0]), 2, 2))
 
 
 # ---------------------------------------------------------------------------

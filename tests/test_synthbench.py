@@ -9,13 +9,12 @@ from conftest import toy_benchmark_config
 from debiasvqa import (
     BenchmarkConfig,
     PriorTable,
-    Sample,
     answer_block,
     bayes_qo_accuracy,
     bias_trap_accuracy,
     build_priors,
+    build_prior_table,
     cell_prototypes,
-    empirical_prior,
     generate_split,
     load_split,
     make_benchmark,
@@ -151,7 +150,7 @@ def test_integral_counts_recover_priors():
     # 22 per qtype with masses {6,3,2}/11 gives integer cell counts
     cfg = small_config()
     train, _, _ = make_benchmark(cfg)
-    emp = empirical_prior(train)
+    emp = build_prior_table(train)
     assert np.abs(emp.table - train.priors.table).max() < 1e-12
     for q in range(cfg.num_qtypes):
         block = np.array(answer_block(q, cfg))
@@ -178,10 +177,10 @@ def test_samples_respect_templates_and_blocks():
     cfg = small_config()
     train, id_test, ood_test = make_benchmark(cfg)
     for split in (train, id_test, ood_test):
-        for s in split.samples:
-            assert s.question_tokens == question_template(s.qtype_id, cfg)
-            assert s.answer_id in answer_block(s.qtype_id, cfg)
-            assert s.visual_feature.shape == (cfg.v_in_dim,)
+        assert split.features.shape == (len(split), cfg.v_in_dim)
+        for q, tokens, a in zip(split.qtypes, split.tokens, split.answers):
+            assert tuple(tokens) == question_template(q, cfg)
+            assert a in answer_block(q, cfg)
 
 
 def test_generation_is_deterministic():
@@ -192,7 +191,7 @@ def test_generation_is_deterministic():
         assert np.array_equal(sa.features, sb.features)
         assert np.array_equal(sa.tokens, sb.tokens)
         assert np.array_equal(sa.answers, sb.answers)
-        assert sa.samples == sb.samples
+        assert np.array_equal(sa.qtypes, sb.qtypes)
 
 
 def test_seed_changes_features():
@@ -213,9 +212,8 @@ def test_noise_free_features_equal_scaled_prototypes():
     cfg = small_config(noise_std=0.0, prototype_scale=2.0)
     train, _, _ = make_benchmark(cfg)
     protos = cell_prototypes(cfg) * cfg.prototype_scale
-    for s in train.samples:
-        local = s.answer_id - s.qtype_id * cfg.answers_per_qtype
-        assert np.array_equal(s.visual_feature, protos[s.qtype_id, local])
+    local = train.answers - train.qtypes * cfg.answers_per_qtype
+    assert np.array_equal(train.features, protos[train.qtypes, local])
 
 
 def test_prototypes_are_unit_norm():
@@ -238,20 +236,14 @@ def test_generate_split_rejects_tiny_n():
         generate_split(train_priors, 5, "train", cfg)
 
 
-def test_column_caching_and_len():
+def test_column_shapes_and_len():
     train = make_benchmark(small_config())[0]
     assert len(train) == 44
-    assert train.tokens is train.tokens
+    assert train.qtypes.shape == train.answers.shape == (44,)
+    assert train.tokens.shape == (44, 2)
     assert train.features.shape == (44, 4)
-
-
-def test_sample_equality_by_value():
-    cfg = small_config()
-    s = make_benchmark(cfg)[0].samples[0]
-    twin = Sample(s.qtype_id, s.question_tokens, s.visual_feature.copy(), s.answer_id)
-    assert s == twin
-    twin.visual_feature[0] += 1.0
-    assert s != twin
+    for column in (train.qtypes, train.tokens, train.answers):
+        assert column.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,8 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.role == train.role
     assert loaded.config == train.config
     assert loaded.priors == train.priors
-    assert loaded.samples == train.samples
+    for column in ("qtypes", "tokens", "answers", "features"):
+        assert np.array_equal(getattr(loaded, column), getattr(train, column)), column
 
 
 def test_load_header_only_file(tmp_path):
