@@ -58,8 +58,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -106,15 +106,20 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        def array(key, ndim, dtype=np.float64):  # ValueError on a wrongly typed field
+            value = np.array(d[key], dtype=dtype)
+            if value.ndim != ndim:
+                raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
+            return value
+
         return cls(
             overall_accuracy=float(d["overall_accuracy"]),
-            per_qtype_accuracy=np.array(d["per_qtype_accuracy"]),
-            per_qtype_counts=np.array(d["per_qtype_counts"], dtype=np.int64),
-            predicted_distribution=np.array(d["predicted_distribution"]),
-            kl_to_split_prior=np.array(d["kl_to_split_prior"]),
+            per_qtype_accuracy=array("per_qtype_accuracy", 1),
+            per_qtype_counts=array("per_qtype_counts", 1, np.int64),
+            predicted_distribution=array("predicted_distribution", 2),
+            kl_to_split_prior=array("kl_to_split_prior", 1),
             kl_to_train_prior=(
-                None if d["kl_to_train_prior"] is None
-                else np.array(d["kl_to_train_prior"])),
+                None if d["kl_to_train_prior"] is None else array("kl_to_train_prior", 1)),
             sample_count=int(d["sample_count"]),
         )
 
@@ -278,19 +283,15 @@ def sweep_gamma(gammas, base_config: TrainConfig,
     ``splits`` is (train, in-distribution test, shifted test).  gamma=0
     reproduces the plain cross-entropy baseline.
     """
-    gammas = list(gammas)
-    if not gammas:
+    variants = [LossVariant.lpf(float(g)) for g in gammas]  # every gamma checked up front
+    if not variants:
         raise ConfigError("gamma sweep needs at least one value")
-    for g in gammas:
-        if g < 0.0:
-            raise ConfigError(f"gamma must be nonnegative, got {g}")
     train_split, id_test, ood_test = splits
     rows = []
-    for g in gammas:
-        cfg = replace(base_config, variant=LossVariant.lpf(float(g)))
-        params, _ = train(train_split, cfg)
+    for variant in variants:
+        params, _ = train(train_split, replace(base_config, variant=variant))
         rows.append(SweepRow(
-            gamma=float(g),
+            gamma=variant.gamma,
             id_report=evaluate(params, id_test, train_priors=train_split.priors),
             ood_report=evaluate(params, ood_test, train_priors=train_split.priors),
         ))
@@ -343,14 +344,19 @@ def load_report(path) -> list[SweepRow]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: bad report: {exc}") from None
-    if not isinstance(payload, dict) or "rows" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
         raise DataFormatError(f"{path}: not a report file")
     version = payload.get("format_version")
     if version != REPORT_FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: report version {version!r}, expected {REPORT_FORMAT_VERSION}")
-    return [SweepRow(
-        gamma=float(row["gamma"]),
-        id_report=EvalReport.from_dict(row["id"]),
-        ood_report=EvalReport.from_dict(row["ood"]),
-    ) for row in payload["rows"]]
+    try:
+        return [SweepRow(
+            gamma=float(row["gamma"]),
+            id_report=EvalReport.from_dict(row["id"]),
+            ood_report=EvalReport.from_dict(row["ood"]),
+        ) for row in payload["rows"]]
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: report row missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad report row: {exc}") from None

@@ -44,10 +44,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name == "seed":
-                continue
             value = getattr(self, f.name)
-            if value <= 0:
+            if type(value) is not int:  # bool and float are not dimensions
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value <= 0 and f.name != "seed":
                 raise ConfigError(f"{f.name} must be positive, got {value}")
         if self.num_answers < 2:
             raise ConfigError(f"num_answers must be at least 2, got {self.num_answers}")
@@ -244,8 +244,8 @@ def load_checkpoint(path) -> VqaModelParams:
     (config_len,) = struct.unpack("<I", take(4))
     try:
         config = ModelConfig(**json.loads(bytes(take(config_len)).decode("utf-8")))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise DataFormatError(f"bad checkpoint config in {path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+        raise DataFormatError(f"bad checkpoint config in {path}: {exc}") from None
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -23,7 +23,7 @@ from .autodiff import (
     softmax_parts,
     weighted_cross_entropy,
 )
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 class VariantKind(str, Enum):
@@ -44,8 +44,8 @@ class LossVariant:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.kind in (VariantKind.FOCAL, VariantKind.PRECOMPUTED) and self.gamma != 1.0:
             object.__setattr__(self, "gamma", 1.0)
 

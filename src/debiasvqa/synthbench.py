@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +40,9 @@ class BenchmarkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         if self.num_qtypes < 1:
             raise ConfigError(f"num_qtypes must be >= 1, got {self.num_qtypes}")
         if self.answers_per_qtype < 2:
@@ -229,6 +233,8 @@ def save_split(split: Split, path) -> None:
     """Line-oriented text format: JSON header, then one sample per line.
 
     Reals use 17 significant digits so the round-trip is bitwise exact.
+    Rows are formatted 128 per ``%`` (256 or 512 raised peak memory in a
+    gen-then-eval loop); ``%d`` prints the integer-valued float64 ids exactly.
     """
     header = {
         "format_version": SPLIT_FORMAT_VERSION,
@@ -237,15 +243,49 @@ def save_split(split: Split, path) -> None:
         "config": split.config.__dict__,
         "priors": [[f"{v:.17g}" for v in row] for row in split.priors.table],
     }
+    t, d = split.config.tokens_per_question, split.config.v_in_dim
+    row = " ".join(["%d"] * (t + 2) + ["%.17g"] * d) + "\n"
+    table = np.column_stack([split.qtypes, split.tokens, split.answers, split.features])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for q, tokens, a, feature in zip(split.qtypes.tolist(), split.tokens.tolist(),
-                                         split.answers.tolist(), split.features.tolist()):
-            parts = [str(q)]
-            parts += [str(v) for v in tokens]
-            parts.append(str(a))
-            parts += [f"{v:.17g}" for v in feature]
-            fh.write(" ".join(parts) + "\n")
+        for start in range(0, len(table), 128):
+            block = table[start:start + 128]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_rows(path, body: list[str], t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [N, t + 2] ids and [N, d] features of the sample lines, in one pass.
+
+    np.loadtxt skips blank lines and numbers rows inconsistently in its
+    messages, so if it fails or drops a line, a second pass names the
+    first bad line: its field count, then loadtxt on it alone.  numpy 1.x
+    reads "0.7" into an int64 field as 0 with only a DeprecationWarning,
+    so that warning is raised as an error here.
+    """
+    want, spec = t + 2 + d, [("ids", np.int64, (t + 2,)), ("features", np.float64, (d,))]
+    if not body:  # loadtxt warns on empty input
+        return np.empty((0, t + 2), dtype=np.int64), np.empty((0, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        if len(body[0].split()) == want:  # bounds loadtxt's row buffer by the data
+            try:
+                rows = np.loadtxt(body, dtype=spec, comments=None, ndmin=1)
+                if len(rows) == len(body):
+                    return rows["ids"], rows["features"]
+            except (ValueError, DeprecationWarning):
+                pass
+        for lineno, line in enumerate(body, start=2):
+            got = len(line.split())
+            if got != want:
+                raise DataFormatError(f"{path}: line {lineno}: expected {want} fields, got {got}")
+            try:
+                np.loadtxt([line], dtype=spec, comments=None)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            except DeprecationWarning:  # its text spans several lines
+                raise DataFormatError(f"{path}: line {lineno}: qtype, tokens and answer "
+                                      f"must be integers") from None
+    raise DataFormatError(f"{path}: sample lines do not read as {want} numbers each")
 
 
 def load_split(path) -> Split:
@@ -289,46 +329,26 @@ def load_split(path) -> Split:
     if priors.table.shape != (config.num_qtypes, config.num_answers):
         raise DataFormatError(f"{path}: line 1: prior table shape {priors.table.shape}, "
                               f"expected ({config.num_qtypes}, {config.num_answers})")
-    t, d, n = config.tokens_per_question, config.v_in_dim, len(lines) - 1
-    want = 1 + t + 1 + d
-    qtypes, answers = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    try:
-        tokens, features = np.empty((n, t), dtype=np.int64), np.empty((n, d))
-    except MemoryError:
-        raise DataFormatError(f"{path}: line 1: {n} rows of {want} fields do not fit "
-                              f"in memory") from None
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        fields = line.split()
-        if len(fields) != want:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {want} fields, got {len(fields)}")
-        try:
-            qtype = int(fields[0])
-            tokens[i] = [int(v) for v in fields[1:1 + t]]
-            answer = int(fields[1 + t])
-            features[i] = [float(v) for v in fields[2 + t:]]
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-        if not 0 <= qtype < config.num_qtypes:
-            raise DataFormatError(
-                f"{path}: line {lineno}: qtype {qtype} out of range")
-        if not 0 <= answer < config.num_answers:
-            raise DataFormatError(
-                f"{path}: line {lineno}: answer {answer} out of range")
-        qtypes[i], answers[i] = qtype, answer
+    t = config.tokens_per_question
+    ids, features = _read_rows(path, lines[1:], t, config.v_in_dim)
+    qtypes, answers = ids[:, 0].copy(), ids[:, 1 + t].copy()
+    tokens, features = ids[:, 1:1 + t].copy(), features.copy()
     try:
         split = Split(qtypes, tokens, answers, features, priors, header["role"], config)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: line 1: {exc}") from None
-    checks = ((~np.isfinite(features).all(axis=1), "non-finite visual feature"),
+    checks = (((qtypes < 0) | (qtypes >= config.num_qtypes), "qtype {q} out of range"),
+              ((answers < 0) | (answers >= config.num_answers), "answer {a} out of range"),
+              (~np.isfinite(features).all(axis=1), "non-finite visual feature"),
               ((tokens != _templates(qtypes, config)).any(axis=1),
                "tokens are not their question type's template"),
               (answers // config.answers_per_qtype != qtypes,
                "answer outside its question type's block"))
     for bad, what in checks:
         if bad.any():
-            raise DataFormatError(f"{path}: line {int(np.argmax(bad)) + 2}: {what}")
+            i = int(np.argmax(bad))
+            raise DataFormatError(
+                f"{path}: line {i + 2}: " + what.format(q=qtypes[i], a=answers[i]))
     return split
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline and exit-code contract."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -184,7 +185,9 @@ def _edit_field(index, edit):
      "line 3: answer outside its question type's block"),
     ({"edit_header": lambda h: h["config"].update(seed=1)},
      "line 1: fingerprint"),
-], ids=["template", "block", "fingerprint"])
+    ({"edit_header": lambda h: h["config"].update(v_in_dim=16.0)},
+     "line 1: bad config: v_in_dim must be an integer, got 16.0"),
+], ids=["template", "block", "fingerprint", "float-dim"])
 def test_split_contract_violation_exits_two(pipeline, tmp_path, capsys, edits, message):
     bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split", **edits)
     for argv in (["eval", str(pipeline / "model.ckpt"), str(bad)],
@@ -225,6 +228,95 @@ def test_directory_path_exits_two(pipeline, tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "directory" in err.lower()
+    assert err.count("\n") == 1
+
+
+# one row side of a valid report: two question types, two answers
+_REPORT_SIDE = {"overall_accuracy": 0.5, "per_qtype_accuracy": [0.5, 0.5],
+                "per_qtype_counts": [2, 2], "predicted_distribution": [[0.5, 0.5], [0.5, 0.5]],
+                "kl_to_split_prior": [0.0, 0.0], "kl_to_train_prior": None, "sample_count": 4}
+
+
+def _report_row(**ood_changes):
+    return {"gamma": 1.0, "id": _REPORT_SIDE, "ood": {**_REPORT_SIDE, **ood_changes}}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{"gamma": 1}], "missing key 'id'"),
+    ([{"gamma": "x", "id": {}, "ood": {}}], "could not convert string to float"),
+    ([3], "bad report row"),
+    ([_report_row(per_qtype_accuracy="high")], "could not convert string to float"),
+    ([_report_row(predicted_distribution=[0.5])], "must have 2 dimension(s)"),
+    ([_report_row(sample_count=None)], "bad report row"),
+], ids=["missing-key", "bad-gamma", "row-not-object", "string-array", "flat-distribution",
+        "null-count"])
+def test_malformed_report_exits_two(tmp_path, capsys, rows, message):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"format_version": 1, "rows": [_report_row()]}))
+    assert main(["report", str(good), "--out", str(tmp_path / "r.csv")]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1, "rows": rows}))
+    capsys.readouterr()
+    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [{"format_version": 1}, {"format_version": 1, "rows": {}}],
+                         ids=["no-rows", "rows-not-list"])
+def test_report_without_row_list_exits_two(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "not a report file" in err and "row" not in err.replace(str(bad), "")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--variant", "lpf", "--gamma", "nan"], "gamma must be finite"),
+    ("train", ["--variant", "lpf", "--gamma", "inf"], "gamma must be finite"),
+    ("train", ["--lr", "nan"], "lr must be finite"),
+    ("train", ["--lr", "inf"], "lr must be finite"),
+    ("sweep", ["--gamma", "1", "--gamma", "nan"], "gamma must be finite"),
+    ("sweep", ["--gamma", "1", "--lr", "inf"], "lr must be finite"),
+], ids=["train-gamma-nan", "train-gamma-inf", "train-lr-nan", "train-lr-inf",
+        "sweep-gamma-nan", "sweep-lr-inf"])
+def test_non_finite_hyperparameter_exits_two(pipeline, tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out"
+    splits = {"train": ["train.split"],
+              "sweep": ["train.split", "id_test.split", "ood_test.split"]}[command]
+    rc = main([command, *(str(pipeline / name) for name in splits), "--out", str(out),
+               "--epochs", "1", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _rewrite_checkpoint_config(src, dst, **changes):
+    """Copy a checkpoint with some of its header config values replaced."""
+    blob = src.read_bytes()
+    (size,) = struct.unpack("<I", blob[12:16])  # after the magic and the version
+    config = json.loads(blob[16:16 + size])
+    config.update(changes)
+    raw = json.dumps(config, sort_keys=True).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + size:])
+    return dst
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"vocab_size": 32.5}, "vocab_size must be an integer, got 32.5"),
+    ({"embed_dim": True}, "embed_dim must be an integer, got True"),
+], ids=["seed-string", "vocab-float", "embed-bool"])
+def test_checkpoint_config_types_exit_two(pipeline, tmp_path, capsys, changes, message):
+    bad = _rewrite_checkpoint_config(pipeline / "model.ckpt", tmp_path / "bad.ckpt", **changes)
+    assert main(["eval", str(bad), str(pipeline / "id_test.split")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad checkpoint config in {bad}: {message}" in err
     assert err.count("\n") == 1
 
 

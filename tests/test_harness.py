@@ -26,7 +26,7 @@ from debiasvqa import (
     train,
     zero_grad,
 )
-from debiasvqa.cli import model_config_for
+from debiasvqa.cli import main, model_config_for
 from debiasvqa.errors import ConfigError, DataFormatError
 from debiasvqa.harness import (
     REPORT_CSV_COLUMNS,
@@ -449,3 +449,23 @@ def test_checkpoints_match_pinned_digests(seed, tmp_path):
         save_checkpoint(params, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == PINNED_CHECKPOINTS[f"{seed}-{name}"], name
+
+
+# SHA-256 of the three files ``debiasvqa gen --seed 0`` writes, recorded
+# while split files were still formatted one value at a time with
+# f"{v:.17g}".  Feature noise goes through numpy's log, cos and sin
+# kernels, so these pins share the build guard above.
+PINNED_SPLITS = {
+    "train.split": "e1cff11b23bc37545989041bc33b9b2f9ce3a4ce28be09256ab7211b61a9d3d3",
+    "id_test.split": "7785eee34a7c90422c977af39f467ca6e46b297eb14193f7cbdcc2131b445ad8",
+    "ood_test.split": "481a022bf41999f7a137936a981b4f89369696a5f34e27a91488ddb1ff0c04fd",
+}
+
+
+@pytest.mark.skipif(_numpy_build() != PINNED_BUILD,
+                    reason=f"numpy/BLAS build {_numpy_build()} differs from the pinned {PINNED_BUILD}")
+def test_gen_matches_pinned_split_digests(tmp_path, capsys):
+    assert main(["gen", "--seed", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, pinned in PINNED_SPLITS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned, name
