@@ -12,7 +12,6 @@ from .autodiff import (
     adam_step,
     cross_entropy_per_sample,
     grad_check,
-    softmax,
     weighted_cross_entropy,
     zero_grad,
 )

@@ -231,17 +231,6 @@ def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     return _make_node(out, (table,), backward)
 
 
-def softmax(z) -> np.ndarray:
-    """Row-wise softmax of a 1-D or 2-D array, max-subtracted for overflow safety.
-
-    Forward-only: gradients of the classification loss go through
-    :func:`weighted_cross_entropy`, and every other consumer of softmax
-    output (bias factors, evaluation) treats it as a constant.
-    """
-    a = np.asarray(z, dtype=np.float64)
-    return softmax_parts(a[None, :])[0][0] if a.ndim == 1 else softmax_parts(a)[0]
-
-
 def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax and log-softmax of a 2-D array from one ``exp``.
 

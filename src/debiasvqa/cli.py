@@ -127,17 +127,6 @@ class _Options:
                 raise DataFormatError(f"config key {key!r}: {exc}") from None
         return default
 
-    def gammas(self) -> list[float]:
-        flag = getattr(self.args, "gamma", None)
-        if flag:
-            return [float(g) for g in flag]
-        if "gamma" in self.file:
-            try:
-                return [float(g) for g in self.file["gamma"].split(",") if g.strip()]
-            except ValueError as exc:
-                raise DataFormatError(f"config key 'gamma': {exc}") from None
-        return []
-
 
 def _variant_from(options: _Options) -> LossVariant:
     name = options.get("variant", str, "ce")
@@ -230,7 +219,7 @@ def _cmd_eval(options: _Options, ckpt_path: str, split_path: str) -> int:
 
 def _cmd_sweep(options: _Options, train_path: str, id_path: str, ood_path: str) -> int:
     out = _require_out(options, "sweep")
-    gammas = options.gammas()
+    gammas = options.get("gamma", lambda text: [float(g) for g in text.split(",") if g.strip()], [])
     if not gammas:
         raise ConfigError("sweep needs at least one --gamma (or gamma= in the config file)")
     train_split = load_split(train_path)

@@ -247,18 +247,12 @@ def evaluate(params: VqaModelParams, split: Split,
     logits = predict_vqa(v, q, params).data
     preds = logits.argmax(axis=1)
     answers = split.answers
-    k, a = split.num_qtypes, split.num_answers
-    per_acc = np.zeros(k)
-    counts = np.zeros(k, dtype=np.int64)
-    dist = np.zeros((k, a))
-    for qt in range(k):
-        mask = split.qtypes == qt
-        counts[qt] = int(mask.sum())
-        if counts[qt] == 0:
-            raise ValueError(f"split has no samples for question type {qt}")
-        per_acc[qt] = float((preds[mask] == answers[mask]).mean())
-        np.add.at(dist[qt], preds[mask], 1.0)
-        dist[qt] /= counts[qt]
+    k, a, qtypes = split.num_qtypes, split.num_answers, split.qtypes
+    counts = np.bincount(qtypes, minlength=k)
+    if (counts == 0).any():
+        raise ValueError(f"split has no samples for question type {int(np.argmin(counts))}")
+    per_acc = np.bincount(qtypes, weights=preds == answers, minlength=k) / counts
+    dist = np.bincount(qtypes * a + preds, minlength=k * a).reshape(k, a) / counts[:, None]
     kl_split = np.array([
         kl_divergence(dist[qt], split.priors.row(qt)) for qt in range(k)])
     kl_train = None

@@ -4,10 +4,15 @@ The main classification loss is a per-sample reweighted cross entropy:
 each sample's weight is (1 - alpha)^gamma, where alpha is the probability
 the question-only head assigns to the true answer.  Samples the question
 alone already answers get alpha near 1 and are down-weighted toward zero;
-samples that need the image keep weight near 1.  Two reference ways of
-producing alpha are included: from a precomputed per-question-type answer
-table, and from the main model's own prediction (the multi-class focal
-rule).
+samples that need the image keep weight near 1.
+
+:func:`batch_objective`, which trains, composes the public primitives the
+gradient tests also build on: one ``softmax_parts`` per head feeds
+:func:`variant_alpha`, :func:`lpf_loss` and :func:`qo_loss`, and
+:func:`total_loss` sums the two losses.  :func:`variant_alpha` is the one
+place alpha is picked: the question-only head for ce and lpf, the main
+head's own prediction for focal (the multi-class focal rule), and a
+per-question-type answer table for precomputed.
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    softmax,
     softmax_parts,
     weighted_cross_entropy,
 )
@@ -37,7 +41,7 @@ class VariantKind(str, Enum):
 class LossVariant:
     """Which alpha source to use and how aggressively to down-weight.
 
-    ``gamma`` is ignored for plain CE and pinned to 1 for the focal and
+    ``gamma`` is pinned to 0 for plain CE and to 1 for the focal and
     precomputed variants; only the feedback variant sweeps it.
     """
     kind: VariantKind
@@ -46,8 +50,8 @@ class LossVariant:
     def __post_init__(self):
         if not 0.0 <= self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if self.kind in (VariantKind.FOCAL, VariantKind.PRECOMPUTED) and self.gamma != 1.0:
-            object.__setattr__(self, "gamma", 1.0)
+        if self.kind != VariantKind.LPF:
+            object.__setattr__(self, "gamma", 0.0 if self.kind == VariantKind.CE else 1.0)
 
     @classmethod
     def ce(cls) -> "LossVariant":
@@ -109,11 +113,12 @@ class BatchLossRecord:
     total: float
 
 
-def alpha_from_qo(logits_qo, targets) -> np.ndarray:
+def alpha_from_qo(logits_qo, targets, parts=None) -> np.ndarray:
     """Bias factor: softmax probability of the true answer, as a constant.
 
     The result is a plain array with no graph attached, so nothing that
-    consumes it can backpropagate into the question-only head.
+    consumes it can backpropagate into the question-only head.  ``parts``
+    is ``softmax_parts`` of the logits when the caller already has it.
     """
     data = logits_qo.data if isinstance(logits_qo, Tensor) else np.asarray(logits_qo, dtype=np.float64)
     if data.ndim != 2:
@@ -121,7 +126,7 @@ def alpha_from_qo(logits_qo, targets) -> np.ndarray:
     t = np.asarray(targets)
     if t.size and (t.min() < 0 or t.max() >= data.shape[1]):
         raise ShapeError(f"target out of range [0, {data.shape[1]})")
-    return softmax(data)[np.arange(len(t)), t]
+    return (softmax_parts(data) if parts is None else parts)[0][np.arange(len(t)), t]
 
 
 def beta(alpha, gamma: float):
@@ -135,16 +140,21 @@ def beta(alpha, gamma: float):
     return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
 
 
-def lpf_loss(logits_vqa: Tensor, targets, alpha, gamma: float) -> Tensor:
+def lpf_loss(logits_vqa: Tensor, targets, alpha, gamma: float, parts=None) -> Tensor:
     """Reweighted classification loss with constant per-sample weights."""
+    return _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma, parts)[0]
+
+
+def _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma, parts):
+    """:func:`lpf_loss` and the weights beta(alpha, gamma) it applied."""
     weights = np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64))
-    return weighted_cross_entropy(logits_vqa, targets, weights)
+    return weighted_cross_entropy(logits_vqa, targets, weights, parts=parts), weights
 
 
-def qo_loss(logits_qo: Tensor, targets) -> Tensor:
+def qo_loss(logits_qo: Tensor, targets, parts=None) -> Tensor:
     """Plain mean cross entropy on the question-only logits."""
     batch = logits_qo.data.shape[0]
-    return weighted_cross_entropy(logits_qo, targets, np.ones(batch))
+    return weighted_cross_entropy(logits_qo, targets, np.ones(batch), parts=parts)
 
 
 def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
@@ -152,18 +162,17 @@ def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
     return add(l_lpf, l_qo)
 
 
-def variant_alpha(kind: VariantKind, logits_vqa=None, priors: PriorTable | None = None,
-                  qtype_ids=None, targets=None) -> np.ndarray:
-    """Alpha for the focal and precomputed variants.
+def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
+                  priors: PriorTable | None = None, qtype_ids=None,
+                  parts=(None, None)) -> np.ndarray:
+    """Per-sample alpha of any variant, as a constant.
 
-    FOCAL reads the true-answer probability off the main model's own
-    logits (detached); PRECOMPUTED looks it up in an empirical
-    per-question-type answer table.
+    CE and LPF read the true-answer probability off the question-only
+    logits, FOCAL off the main model's own logits, both through
+    :func:`alpha_from_qo`; PRECOMPUTED looks it up in an empirical
+    per-question-type answer table.  ``parts`` is the ``softmax_parts``
+    of (main, question-only) logits, either of them None to compute it.
     """
-    if kind == VariantKind.FOCAL:
-        if logits_vqa is None:
-            raise ValueError("focal alpha needs the main model logits")
-        return alpha_from_qo(logits_vqa, targets)
     if kind == VariantKind.PRECOMPUTED:
         if priors is None or qtype_ids is None:
             raise ValueError("precomputed alpha needs a prior table and question-type ids")
@@ -174,7 +183,12 @@ def variant_alpha(kind: VariantKind, logits_vqa=None, priors: PriorTable | None 
         if t.size and (t.min() < 0 or t.max() >= priors.num_answers):
             raise ShapeError(f"target out of range [0, {priors.num_answers})")
         return priors.table[q, t]
-    raise ValueError(f"variant {kind} does not define its own alpha")
+    focal = kind == VariantKind.FOCAL
+    logits = logits_vqa if focal else logits_qo
+    if logits is None:
+        raise ValueError("focal alpha needs the main model logits" if focal
+                         else "ce and lpf alpha need the question-only logits")
+    return alpha_from_qo(logits, targets, parts[0 if focal else 1])
 
 
 def build_prior_table(split) -> PriorTable:
@@ -200,26 +214,21 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     """Assemble the full training objective for one batch.
 
     Returns the differentiable total loss plus a record of the per-sample
-    quantities, reading each head's one softmax.  For plain CE the weights
-    are identically 1 (alpha is still logged for observability, with an
-    effective gamma of 0).
+    quantities, reading each head's one softmax.  For plain CE gamma is
+    0, so the weights are identically 1 (alpha is still logged for
+    observability).
     """
     t = np.asarray(targets)
-    rows = np.arange(len(t))
     vqa_parts, qo_parts = softmax_parts(logits_vqa.data), softmax_parts(logits_qo.data)
     # the question-only loss goes first: it checks the targets alpha is read at
-    l_qo = weighted_cross_entropy(logits_qo, t, np.ones(len(t)), parts=qo_parts)
-    if variant.kind == VariantKind.PRECOMPUTED:
-        alpha = variant_alpha(variant.kind, priors=priors, qtype_ids=qtype_ids, targets=t)
-    else:
-        alpha = (vqa_parts if variant.kind == VariantKind.FOCAL else qo_parts)[0][rows, t]
-    gamma = 0.0 if variant.kind == VariantKind.CE else variant.gamma
-    weights = np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64))
-    l_lpf = weighted_cross_entropy(logits_vqa, t, weights, parts=vqa_parts)
+    l_qo = qo_loss(logits_qo, t, parts=qo_parts)
+    alpha = variant_alpha(variant.kind, t, logits_vqa, logits_qo, priors, qtype_ids,
+                          parts=(vqa_parts, qo_parts))
+    l_lpf, weights = _lpf_loss_and_weights(logits_vqa, t, alpha, variant.gamma, vqa_parts)
     total = total_loss(l_lpf, l_qo)
     record = BatchLossRecord(
-        ce=-vqa_parts[1][rows, t],
-        alpha=np.asarray(alpha, dtype=np.float64),
+        ce=-vqa_parts[1][np.arange(len(t)), t],
+        alpha=alpha,
         beta=weights,
         lpf=float(l_lpf.data),
         qo=float(l_qo.data),

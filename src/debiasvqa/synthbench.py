@@ -258,9 +258,10 @@ def _read_rows(path, body: list[str], t: int, d: int) -> tuple[np.ndarray, np.nd
 
     np.loadtxt skips blank lines and numbers rows inconsistently in its
     messages, so if it fails or drops a line, a second pass names the
-    first bad line: its field count, then loadtxt on it alone.  numpy 1.x
-    reads "0.7" into an int64 field as 0 with only a DeprecationWarning,
-    so that warning is raised as an error here.
+    first bad line and field: its field count, then loadtxt on each field
+    alone with that field's dtype.  numpy 1.x reads "0.7" into an int64
+    field as 0 with only a DeprecationWarning, so that warning is raised
+    as an error here.
     """
     want, spec = t + 2 + d, [("ids", np.int64, (t + 2,)), ("features", np.float64, (d,))]
     if not body:  # loadtxt warns on empty input
@@ -275,16 +276,17 @@ def _read_rows(path, body: list[str], t: int, d: int) -> tuple[np.ndarray, np.nd
             except (ValueError, DeprecationWarning):
                 pass
         for lineno, line in enumerate(body, start=2):
-            got = len(line.split())
-            if got != want:
-                raise DataFormatError(f"{path}: line {lineno}: expected {want} fields, got {got}")
-            try:
-                np.loadtxt([line], dtype=spec, comments=None)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            except DeprecationWarning:  # its text spans several lines
-                raise DataFormatError(f"{path}: line {lineno}: qtype, tokens and answer "
-                                      f"must be integers") from None
+            fields = line.split()
+            if len(fields) != want:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {want} fields, got {len(fields)}")
+            for j, field in enumerate(fields):
+                dtype = np.dtype(np.int64 if j < t + 2 else np.float64)
+                try:
+                    np.loadtxt([field], dtype=dtype, comments=None)
+                except (ValueError, DeprecationWarning):
+                    raise DataFormatError(f"{path}: line {lineno}: field {j + 1}: "
+                                          f"could not convert {field!r} to {dtype}") from None
     raise DataFormatError(f"{path}: sample lines do not read as {want} numbers each")
 
 

@@ -16,7 +16,7 @@ from debiasvqa.autodiff import (
     linear,
     multiply,
     relu,
-    softmax,
+    softmax_parts,
     weighted_cross_entropy,
     zero_grad,
 )
@@ -121,35 +121,41 @@ def _sum_entries(t: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax_parts
 # ---------------------------------------------------------------------------
 
 def test_softmax_uniform():
-    assert np.allclose(softmax(np.zeros((1, 4))), 0.25, atol=1e-15)
+    probs, logp = softmax_parts(np.zeros((1, 4)))
+    assert np.allclose(probs, 0.25, atol=1e-15)
+    assert np.allclose(logp, -math.log(4.0), atol=1e-15)
 
 
 def test_softmax_analytic_two_class():
-    out = softmax(np.array([0.0, math.log(2.0)]))
-    assert np.allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+    probs, logp = softmax_parts(np.array([[0.0, math.log(2.0)]]))
+    assert np.allclose(probs, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
+    assert np.allclose(logp, [[-math.log(3.0), math.log(2.0 / 3.0)]], atol=1e-15)
 
 
 def test_softmax_large_logits_no_overflow():
-    out = softmax(np.array([1000.0, 1000.0]))
-    assert np.array_equal(out, [0.5, 0.5])
+    probs, logp = softmax_parts(np.array([[1000.0, 1000.0], [-1000.0, 1000.0]]))
+    assert np.array_equal(probs, [[0.5, 0.5], [0.0, 1.0]])
+    assert np.isfinite(logp).all() and logp[1, 1] == 0.0
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(5, 9)) * 30.0
-    out = softmax(z)
-    assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
+    probs, logp = softmax_parts(z)
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.exp(logp) - probs).max() < 1e-12
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(12)
     z = rng.normal(size=(4, 6))
     shifted = z + rng.normal(size=(4, 1)) * 50.0
-    assert np.abs(softmax(z) - softmax(shifted)).max() < 1e-12
+    for a, b in zip(softmax_parts(z), softmax_parts(shifted)):
+        assert np.abs(a - b).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,17 @@ from debiasvqa import (
     total_loss,
     variant_alpha,
 )
-from debiasvqa.autodiff import Parameter, cross_entropy_per_sample, grad_check, linear, zero_grad
+from debiasvqa.autodiff import (
+    Parameter,
+    cross_entropy_per_sample,
+    grad_check,
+    linear,
+    softmax_parts,
+    zero_grad,
+)
+from debiasvqa.cli import model_config_for
+from debiasvqa.harness import TrainConfig, epoch_order, forward_batch
+from debiasvqa.model import init_params
 from debiasvqa.errors import ShapeError
 
 SOFTMAX_123_LAST = 0.6652409557748219  # e^3 / (e + e^2 + e^3)
@@ -51,11 +61,12 @@ def test_variant_gamma_validation():
     assert LossVariant.lpf(5.0).gamma == 5.0
 
 
-def test_focal_and_precomputed_pin_gamma_to_one():
+def test_ce_focal_and_precomputed_pin_gamma():
     assert LossVariant.focal().gamma == 1.0
     assert LossVariant.precomputed().gamma == 1.0
     assert LossVariant(VariantKind.FOCAL, 3.0).gamma == 1.0
     assert LossVariant(VariantKind.PRECOMPUTED, 0.2).gamma == 1.0
+    assert LossVariant(VariantKind.CE, 3.0).gamma == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +268,12 @@ def test_total_loss_gradient_is_sum_of_gradients():
 
 def test_precomputed_alpha_is_table_lookup():
     priors = PriorTable([[0.8, 0.15, 0.05]])
-    a = variant_alpha(VariantKind.PRECOMPUTED, priors=priors,
-                      qtype_ids=[0], targets=[0])
+    a = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
     assert a[0] == 0.8
 
 
 def test_focal_alpha_from_vqa_logits():
-    a = variant_alpha(VariantKind.FOCAL, logits_vqa=Tensor(np.zeros((1, 4))), targets=[2])
+    a = variant_alpha(VariantKind.FOCAL, [2], logits_vqa=Tensor(np.zeros((1, 4))))
     assert np.allclose(a, 0.25, atol=1e-15)
 
 
@@ -271,18 +281,32 @@ def test_focal_tracks_logits_precomputed_does_not():
     priors = PriorTable([[0.6, 0.4]])
     logits1 = Tensor(np.array([[0.0, 0.0]]))
     logits2 = Tensor(np.array([[3.0, -1.0]]))
-    f1 = variant_alpha(VariantKind.FOCAL, logits_vqa=logits1, targets=[0])
-    f2 = variant_alpha(VariantKind.FOCAL, logits_vqa=logits2, targets=[0])
+    f1 = variant_alpha(VariantKind.FOCAL, [0], logits_vqa=logits1)
+    f2 = variant_alpha(VariantKind.FOCAL, [0], logits_vqa=logits2)
     assert f1[0] != f2[0]
-    p1 = variant_alpha(VariantKind.PRECOMPUTED, priors=priors, qtype_ids=[0], targets=[0])
-    p2 = variant_alpha(VariantKind.PRECOMPUTED, priors=priors, qtype_ids=[0], targets=[0])
+    p1 = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
+    p2 = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
     assert p1[0] == p2[0] == 0.6
 
 
 def test_variant_alpha_missing_prior_row_rejected():
     priors = PriorTable([[1.0, 0.0]])
     with pytest.raises(KeyError):
-        variant_alpha(VariantKind.PRECOMPUTED, priors=priors, qtype_ids=[1], targets=[0])
+        variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[1])
+
+
+def test_ce_and_lpf_alpha_read_the_question_only_head():
+    rng = np.random.default_rng(30)
+    logits_vqa, logits_qo = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6)))
+    targets = rng.integers(0, 6, size=5)
+    expected = alpha_from_qo(logits_qo, targets)
+    parts = (softmax_parts(logits_vqa.data), softmax_parts(logits_qo.data))
+    for kind in (VariantKind.CE, VariantKind.LPF):
+        assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo), expected)
+        assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo, parts=parts),
+                              expected)
+        with pytest.raises(ValueError):
+            variant_alpha(kind, targets, logits_vqa=logits_vqa)
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +393,44 @@ def test_batch_objective_qo_gradient_unaffected_by_gamma():
         total.backward()
         grads.append(qo.grad.copy())
     assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("variant, head, gamma", [
+    (LossVariant.ce(), "qo", 0.0),
+    (LossVariant.lpf(5.0), "qo", 5.0),
+    (LossVariant.focal(), "vqa", 1.0),
+    (LossVariant.precomputed(), None, 1.0),
+], ids=["ce", "lpf5", "focal", "precomputed"])
+def test_batch_objective_gradients_equal_the_gated_composition(default_benchmark, variant,
+                                                               head, gamma):
+    # training runs batch_objective; gates 2 and 3 check this composition
+    config, train_split, _, _ = default_benchmark
+    params = init_params(model_config_for(config, 0))
+    tc = TrainConfig(variant=variant, model=params.config)
+    idx = epoch_order(tc, 0, len(train_split))[:tc.batch_size]
+    targets, qtypes = train_split.answers[idx], train_split.qtypes[idx]
+    priors = build_prior_table(train_split)
+
+    def composed(logits_vqa, logits_qo):
+        if head is None:
+            alpha = variant_alpha(variant.kind, targets, priors=priors, qtype_ids=qtypes)
+        else:
+            alpha = alpha_from_qo(logits_vqa if head == "vqa" else logits_qo, targets)
+        return total_loss(lpf_loss(logits_vqa, targets, alpha, gamma),
+                          qo_loss(logits_qo, targets))
+
+    def trained(logits_vqa, logits_qo):
+        return batch_objective(logits_vqa, logits_qo, targets, variant,
+                               priors=priors, qtype_ids=qtypes)[0]
+
+    results = []
+    for objective in (trained, composed):
+        loss = objective(*forward_batch(params, train_split.tokens[idx],
+                                        train_split.features[idx]))
+        loss.backward()
+        results.append((float(loss.data), {n: params[n].grad.copy() for n in params.names()}))
+        zero_grad(params.all_parameters())
+    (got_loss, got), (want_loss, want) = results
+    assert got_loss == want_loss
+    for name in params.names():
+        assert np.array_equal(got[name], want[name]), name
