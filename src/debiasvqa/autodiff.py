@@ -209,11 +209,13 @@ def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     input order, so the result is deterministic.
     """
     ids = np.asarray(token_ids)
-    if ids.ndim != 2:
-        raise ShapeError(f"embedding_mean expects [B, T] token ids, got shape {ids.shape}")
+    if ids.ndim != 2 or ids.size == 0:
+        raise ShapeError(f"embedding_mean expects a nonempty [B, T] batch of ids, got shape {ids.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"token ids must be integers, got dtype {ids.dtype}")
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_mean expects a 2-D table, got {table.data.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
         raise ShapeError(
             f"embedding_mean: token id out of range [0, {table.data.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}")
@@ -304,9 +306,8 @@ def zero_grad(params: Iterable[Parameter]) -> None:
         p.grad[...] = 0.0
 
 
-def adam_step(params: Iterable[Parameter], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place.
+def adam_step(params: Iterable[Parameter], lr: float) -> None:
+    """One bias-corrected Adam update (beta1 0.9, beta2 0.999, eps 1e-8), in place.
 
     Pass the flat Parameter of :func:`flat_parameters` to step a whole set
     at once.  Gradients are left untouched; the caller zeroes them after
@@ -314,6 +315,7 @@ def adam_step(params: Iterable[Parameter], lr: float,
     """
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     for p in params:
         p.step_count += 1
         p.adam_m *= beta1

@@ -6,8 +6,9 @@ checkpoint on a split, ``sweep`` trains one model per gamma and writes a
 report, ``report`` converts report files between formats.
 
 Every flag can also come from a ``--config`` file of ``key=value`` lines
-(keys named like the flags without the leading dashes); explicit flags
-win over file values.  Exit codes: 0 success, 1 usage error, 2 data or
+(keys named like the flags without the leading dashes; a key may be any
+subcommand's flag, and any other key is an error); explicit flags win
+over file values.  Exit codes: 0 success, 1 usage error, 2 data or
 format error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .objectives import LossVariant, VariantKind
 from .synthbench import BenchmarkConfig, load_split, make_benchmark, save_split
 
-VARIANT_CHOICES = tuple(v.value for v in VariantKind)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1."""
@@ -49,22 +48,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value file mirroring the flags; flags override")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 
     def training_flags(p):
-        p.add_argument("--variant", choices=VARIANT_CHOICES, default=None)
-        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
         p.add_argument("--batch-size", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate train/id-test/ood-test split files")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train", help="train on a split file, write a checkpoint")
     p.add_argument("split", help="training split file")
     common(p)
+    p.add_argument("--variant", choices=[k.value for k in VariantKind], default=None)
+    p.add_argument("--gamma", type=float, default=None)
     training_flags(p)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split file")
@@ -79,9 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gamma", type=float, action="append", default=None,
                    help="repeatable; at least one value required")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    training_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("report", help="convert a json report to csv or json")
@@ -91,21 +89,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of every subcommand without its dashes, except ``--help`` and ``--config``."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag[2:] for p in subcommands.choices.values() for a in p._actions
+            if a.dest not in ("help", "config") for flag in a.option_strings}
+
+
 def load_config_file(path) -> dict[str, str]:
-    """Parse ``key=value`` lines; '#' comments and blank lines allowed."""
+    """Parse ``key=value`` lines; '#' comments and blank lines allowed.
+
+    A key that is not in :func:`_config_keys` is an error, so one file can
+    drive several subcommands but a misspelt key is never ignored.
+    """
+    keys = _config_keys(build_parser())
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataFormatError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise DataFormatError(f"{path}: line {lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -113,7 +121,7 @@ class _Options:
     """Flag values resolved against a config file and defaults."""
 
     def __init__(self, args):
-        self.file = load_config_file(args.config) if getattr(args, "config", None) else {}
+        self.file = load_config_file(args.config) if args.config else {}
         self.args = args
 
     def get(self, key: str, convert, default):
@@ -130,14 +138,7 @@ class _Options:
 
 def _variant_from(options: _Options) -> LossVariant:
     name = options.get("variant", str, "ce")
-    if name not in VARIANT_CHOICES:
-        raise DataFormatError(f"unknown variant {name!r}, choose from {VARIANT_CHOICES}")
-    kind = VariantKind(name)
-    if kind == VariantKind.LPF:
-        return LossVariant.lpf(options.get("gamma", float, 1.0))
-    return {VariantKind.CE: LossVariant.ce,
-            VariantKind.FOCAL: LossVariant.focal,
-            VariantKind.PRECOMPUTED: LossVariant.precomputed}[kind]()
+    return LossVariant(name, options.get("gamma", float, 1.0) if name == VariantKind.LPF else 0.0)
 
 
 def model_config_for(bench: BenchmarkConfig, seed: int) -> ModelConfig:
@@ -148,10 +149,10 @@ def model_config_for(bench: BenchmarkConfig, seed: int) -> ModelConfig:
                        seed=seed)
 
 
-def _train_config(options: _Options, bench: BenchmarkConfig) -> TrainConfig:
+def _train_config(options: _Options, bench: BenchmarkConfig, variant: LossVariant) -> TrainConfig:
     seed = options.get("seed", int, 0)
     return TrainConfig(
-        variant=_variant_from(options),
+        variant=variant,
         model=model_config_for(bench, seed),
         lr=options.get("lr", float, TrainConfig.lr),
         batch_size=options.get("batch-size", int, TrainConfig.batch_size),
@@ -169,21 +170,18 @@ def _require_out(options: _Options, parser_hint: str) -> str:
 
 def _cmd_gen(options: _Options) -> int:
     out_dir = Path(_require_out(options, "gen"))
-    seed = options.get("seed", int, 0)
-    config = BenchmarkConfig(seed=seed)
-    train_split, id_test, ood_test = make_benchmark(config)
+    splits = make_benchmark(BenchmarkConfig(seed=options.get("seed", int, 0)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(train_split, out_dir / "train.split")
-    save_split(id_test, out_dir / "id_test.split")
-    save_split(ood_test, out_dir / "ood_test.split")
+    for name, split in zip(("train", "id_test", "ood_test"), splits):
+        save_split(split, out_dir / f"{name}.split")
     print(f"wrote 3 split files under {out_dir}")
     return 0
 
 
-def _cmd_train(options: _Options, split_path: str) -> int:
+def _cmd_train(options: _Options) -> int:
     out = _require_out(options, "train")
-    split = load_split(split_path)
-    config = _train_config(options, split.config)
+    split = load_split(options.args.split)
+    config = _train_config(options, split.config, _variant_from(options))
     params, log = train(split, config)
     save_checkpoint(params, out)
     log_path = out + ".runlog.json"
@@ -202,9 +200,9 @@ def _cmd_train(options: _Options, split_path: str) -> int:
     return 0
 
 
-def _cmd_eval(options: _Options, ckpt_path: str, split_path: str) -> int:
-    params = load_checkpoint(ckpt_path)
-    split = load_split(split_path)
+def _cmd_eval(options: _Options) -> int:
+    params = load_checkpoint(options.args.checkpoint)
+    split = load_split(options.args.split)
     report = evaluate(params, split)
     payload = json.dumps({"format_version": REPORT_FORMAT_VERSION,
                           "report": report.to_dict()}, sort_keys=True, indent=2)
@@ -217,29 +215,32 @@ def _cmd_eval(options: _Options, ckpt_path: str, split_path: str) -> int:
     return 0
 
 
-def _cmd_sweep(options: _Options, train_path: str, id_path: str, ood_path: str) -> int:
+def _cmd_sweep(options: _Options) -> int:
     out = _require_out(options, "sweep")
     gammas = options.get("gamma", lambda text: [float(g) for g in text.split(",") if g.strip()], [])
     if not gammas:
         raise ConfigError("sweep needs at least one --gamma (or gamma= in the config file)")
-    train_split = load_split(train_path)
-    id_test = load_split(id_path)
-    ood_test = load_split(ood_path)
-    base = _train_config(options, train_split.config)
-    rows = sweep_gamma(gammas, base, (train_split, id_test, ood_test))
+    args = options.args
+    splits = tuple(load_split(path) for path in (args.train_split, args.id_split, args.ood_split))
+    base = _train_config(options, splits[0].config, LossVariant.ce())  # each gamma replaces it
+    rows = sweep_gamma(gammas, base, splits)
     fmt = options.get("format", str, "json")
     emit_report(rows, out, format=fmt)
     print(f"wrote {out} ({len(rows)} gamma rows, format {fmt})")
     return 0
 
 
-def _cmd_report(options: _Options, report_path: str) -> int:
+def _cmd_report(options: _Options) -> int:
     out = _require_out(options, "report")
-    rows = load_report(report_path)
+    rows = load_report(options.args.report)
     fmt = options.get("format", str, "csv")
     emit_report(rows, out, format=fmt)
     print(f"wrote {out} ({len(rows)} gamma rows, format {fmt})")
     return 0
+
+
+_COMMANDS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval,
+             "sweep": _cmd_sweep, "report": _cmd_report}
 
 
 def main(argv=None) -> int:
@@ -249,19 +250,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        options = _Options(args)
-        if args.command == "gen":
-            return _cmd_gen(options)
-        if args.command == "train":
-            return _cmd_train(options, args.split)
-        if args.command == "eval":
-            return _cmd_eval(options, args.checkpoint, args.split)
-        if args.command == "sweep":
-            return _cmd_sweep(options, args.train_split, args.id_split, args.ood_split)
-        if args.command == "report":
-            return _cmd_report(options, args.report)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (DataFormatError, ConfigError, ValueError, OSError) as exc:
+        return _COMMANDS[args.command](_Options(args))
+    except (ValueError, OSError) as exc:  # ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -31,7 +31,7 @@ from .objectives import (
     batch_objective,
     build_prior_table,
 )
-from .rng import mix_seed, permutation
+from .rng import mix_seed, uniform_stream
 from .synthbench import Split
 
 REPORT_FORMAT_VERSION = 1
@@ -55,7 +55,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 21
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.lr < np.inf:
@@ -106,22 +105,31 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        def array(key, ndim, dtype=np.float64):  # ValueError on a wrongly typed field
-            value = np.array(d[key], dtype=dtype)
-            if value.ndim != ndim:
-                raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
-            return value
-
         return cls(
-            overall_accuracy=float(d["overall_accuracy"]),
-            per_qtype_accuracy=array("per_qtype_accuracy", 1),
-            per_qtype_counts=array("per_qtype_counts", 1, np.int64),
-            predicted_distribution=array("predicted_distribution", 2),
-            kl_to_split_prior=array("kl_to_split_prior", 1),
-            kl_to_train_prior=(
-                None if d["kl_to_train_prior"] is None else array("kl_to_train_prior", 1)),
-            sample_count=int(d["sample_count"]),
+            overall_accuracy=float(_report_field(d, "overall_accuracy", 0)),
+            per_qtype_accuracy=_report_field(d, "per_qtype_accuracy", 1),
+            per_qtype_counts=_report_field(d, "per_qtype_counts", 1, integral=True),
+            predicted_distribution=_report_field(d, "predicted_distribution", 2),
+            kl_to_split_prior=_report_field(d, "kl_to_split_prior", 1),
+            kl_to_train_prior=(None if d["kl_to_train_prior"] is None
+                               else _report_field(d, "kl_to_train_prior", 1)),
+            sample_count=int(_report_field(d, "sample_count", 0, integral=True)),
         )
+
+
+def _report_field(d: dict, key: str, ndim: int, integral: bool = False) -> np.ndarray:
+    """A report field as a finite float64 (or exact int64) array of ``ndim`` dimensions.
+
+    Raises ValueError, TypeError or OverflowError on a wrongly typed field.
+    """
+    value = np.array(d[key], dtype=np.float64)
+    if value.ndim != ndim:
+        raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{key!r} has a non-finite value")
+    if integral and not ((value == np.floor(value)) & (np.abs(value) <= 2 ** 53)).all():
+        raise ValueError(f"{key!r} must hold integers of at most 2**53")
+    return value.astype(np.int64) if integral else value
 
 
 @dataclass
@@ -133,23 +141,15 @@ class SweepRow:
 
 def check_compatible(split: Split, model: ModelConfig) -> None:
     """Reject a split/model pairing before any training step runs."""
-    sc = split.config
-    if sc.num_answers != model.num_answers:
-        raise ConfigError(
-            f"split has {sc.num_answers} answers, model expects {model.num_answers}")
-    if sc.vocab_size != model.vocab_size:
-        raise ConfigError(
-            f"split vocabulary {sc.vocab_size}, model expects {model.vocab_size}")
-    if sc.v_in_dim != model.v_in_dim:
-        raise ConfigError(
-            f"split visual dim {sc.v_in_dim}, model expects {model.v_in_dim}")
+    for name in ("num_answers", "vocab_size", "v_in_dim"):
+        if getattr(split.config, name) != getattr(model, name):
+            raise ConfigError(f"split has {name} {getattr(split.config, name)}, "
+                              f"model expects {getattr(model, name)}")
 
 
 def epoch_order(config: TrainConfig, epoch: int, n: int) -> np.ndarray:
     """Visitation order of the samples for one epoch, reproducible per seed."""
-    if not config.shuffle:
-        return np.arange(n)
-    return permutation(mix_seed(config.seed, "epoch", epoch), n)
+    return uniform_stream(mix_seed(config.seed, "epoch", epoch)).permutation(n)
 
 
 def forward_batch(params: VqaModelParams, tokens: np.ndarray,
@@ -218,13 +218,13 @@ def train(train_split: Split, config: TrainConfig,
     return params, log
 
 
-def kl_divergence(p, q, eps: float = 1e-9) -> float:
-    """KL(p || q) in nats; q is smoothed by eps and renormalized."""
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats; q is smoothed by 1e-9 and renormalized."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"need equal-length vectors, got {p.shape} and {q.shape}")
-    qs = q + eps
+    qs = q + 1e-9
     qs /= qs.sum()
     mask = p > 0.0
     return float((p[mask] * np.log(p[mask] / qs[mask])).sum())
@@ -253,19 +253,17 @@ def evaluate(params: VqaModelParams, split: Split,
         raise ValueError(f"split has no samples for question type {int(np.argmin(counts))}")
     per_acc = np.bincount(qtypes, weights=preds == answers, minlength=k) / counts
     dist = np.bincount(qtypes * a + preds, minlength=k * a).reshape(k, a) / counts[:, None]
-    kl_split = np.array([
-        kl_divergence(dist[qt], split.priors.row(qt)) for qt in range(k)])
-    kl_train = None
-    if train_priors is not None:
-        kl_train = np.array([
-            kl_divergence(dist[qt], train_priors.row(qt)) for qt in range(k)])
+
+    def kl_to(priors: PriorTable) -> np.ndarray:
+        return np.array([kl_divergence(dist[qt], priors.row(qt)) for qt in range(k)])
+
     return EvalReport(
         overall_accuracy=float((preds == answers).mean()),
         per_qtype_accuracy=per_acc,
         per_qtype_counts=counts,
         predicted_distribution=dist,
-        kl_to_split_prior=kl_split,
-        kl_to_train_prior=kl_train,
+        kl_to_split_prior=kl_to(split.priors),
+        kl_to_train_prior=None if train_priors is None else kl_to(train_priors),
         sample_count=len(split),
     )
 
@@ -346,11 +344,11 @@ def load_report(path) -> list[SweepRow]:
             f"{path}: report version {version!r}, expected {REPORT_FORMAT_VERSION}")
     try:
         return [SweepRow(
-            gamma=float(row["gamma"]),
+            gamma=float(_report_field(row, "gamma", 0)),
             id_report=EvalReport.from_dict(row["id"]),
             ood_report=EvalReport.from_dict(row["ood"]),
         ) for row in payload["rows"]]
     except KeyError as exc:
         raise DataFormatError(f"{path}: report row missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: bad report row: {exc}") from None

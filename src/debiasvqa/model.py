@@ -9,6 +9,7 @@ lets the head act as a pure bias probe.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -130,19 +131,8 @@ def init_params(config: ModelConfig) -> VqaModelParams:
             continue
         fan_in = config.embed_dim if name == "token_embeddings" else shape[0]
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = (2.0 * rng.uniform(gen, int(np.prod(shape))) - 1.0).reshape(shape) * bound
+        tensors[name] = (2.0 * gen.random(int(np.prod(shape))) - 1.0).reshape(shape) * bound
     return VqaModelParams(config, tensors)
-
-
-def _as_token_batch(tokens, vocab_size: int) -> np.ndarray:
-    ids = np.asarray(tokens)
-    if ids.size == 0:
-        raise ShapeError("token batch must be nonempty")
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError(f"token ids must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise ShapeError(f"token id out of vocabulary [0, {vocab_size}): min={ids.min()}, max={ids.max()}")
-    return ids
 
 
 def encode_question(tokens, params: VqaModelParams) -> Tensor:
@@ -151,8 +141,7 @@ def encode_question(tokens, params: VqaModelParams) -> Tensor:
     Mean pooling makes the encoding order-invariant, which is all the
     template questions need.
     """
-    ids = _as_token_batch(tokens, params.config.vocab_size)
-    pooled = embedding_mean(params["token_embeddings"], ids)
+    pooled = embedding_mean(params["token_embeddings"], tokens)
     return linear(pooled, params["q_enc_w"], params["q_enc_b"])
 
 
@@ -252,10 +241,11 @@ def load_checkpoint(path) -> VqaModelParams:
         (name_len,) = struct.unpack("<I", take(4))
         name = bytes(take(name_len)).decode("utf-8")
         (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
-        n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
-        tensors[name] = data
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))  # a negative dim reads as oversized
+        tensors[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     if pos != len(view):
         raise DataFormatError(f"trailing bytes in checkpoint {path}")
-    return VqaModelParams(config, tensors)
+    params = VqaModelParams(config, tensors)
+    if not np.isfinite(params.flat.data).all():
+        raise DataFormatError(f"non-finite parameter value in checkpoint {path}")
+    return params

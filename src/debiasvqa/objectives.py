@@ -23,6 +23,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _check_targets,
     add,
     softmax_parts,
     weighted_cross_entropy,
@@ -41,13 +42,17 @@ class VariantKind(str, Enum):
 class LossVariant:
     """Which alpha source to use and how aggressively to down-weight.
 
-    ``gamma`` is pinned to 0 for plain CE and to 1 for the focal and
-    precomputed variants; only the feedback variant sweeps it.
+    ``kind`` may be given by its value (``"lpf"``).  ``gamma`` is pinned
+    to 0 for plain CE and to 1 for the focal and precomputed variants;
+    only the feedback variant sweeps it.
     """
     kind: VariantKind
     gamma: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in tuple(VariantKind):
+            raise ConfigError(f"unknown loss variant {self.kind!r}, choose from {', '.join(VariantKind)}")
+        object.__setattr__(self, "kind", VariantKind(self.kind))
         if not 0.0 <= self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.kind != VariantKind.LPF:
@@ -123,9 +128,7 @@ def alpha_from_qo(logits_qo, targets, parts=None) -> np.ndarray:
     data = logits_qo.data if isinstance(logits_qo, Tensor) else np.asarray(logits_qo, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeError(f"expected [B, A] logits, got shape {data.shape}")
-    t = np.asarray(targets)
-    if t.size and (t.min() < 0 or t.max() >= data.shape[1]):
-        raise ShapeError(f"target out of range [0, {data.shape[1]})")
+    t = _check_targets(targets, data.shape[1])
     return (softmax_parts(data) if parts is None else parts)[0][np.arange(len(t)), t]
 
 
@@ -177,12 +180,9 @@ def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
         if priors is None or qtype_ids is None:
             raise ValueError("precomputed alpha needs a prior table and question-type ids")
         q = np.asarray(qtype_ids)
-        t = np.asarray(targets)
         if q.size and (q.min() < 0 or q.max() >= priors.num_qtypes):
             raise KeyError(f"no prior row for question type {q.max()} (have {priors.num_qtypes})")
-        if t.size and (t.min() < 0 or t.max() >= priors.num_answers):
-            raise ShapeError(f"target out of range [0, {priors.num_answers})")
-        return priors.table[q, t]
+        return priors.table[q, _check_targets(targets, priors.num_answers)]
     focal = kind == VariantKind.FOCAL
     logits = logits_vqa if focal else logits_qo
     if logits is None:

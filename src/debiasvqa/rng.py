@@ -31,20 +31,13 @@ def uniform_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.MT19937(seed))
 
 
-def uniform(seed_or_gen, size) -> np.ndarray:
-    """Doubles on [0, 1) from the pinned stream; ``size`` int or shape."""
-    gen = seed_or_gen if isinstance(seed_or_gen, np.random.Generator) else uniform_stream(seed_or_gen)
-    return gen.random(size)
-
-
-def gaussian(seed_or_gen, size) -> np.ndarray:
-    """Standard-normal doubles via Box-Muller on the pinned stream.
+def gaussian(gen: np.random.Generator, size) -> np.ndarray:
+    """Standard-normal doubles via Box-Muller on a pinned stream.
 
     ``size`` may be an int or a shape tuple.  Consumes uniforms in pairs:
     u1 is mapped to (0, 1] to keep the log finite, and both transformed
     values of each pair are used in order.
     """
-    gen = seed_or_gen if isinstance(seed_or_gen, np.random.Generator) else uniform_stream(seed_or_gen)
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     count = int(np.prod(shape)) if shape else 1
     n_pairs = (count + 1) // 2
@@ -56,8 +49,3 @@ def gaussian(seed_or_gen, size) -> np.ndarray:
     out[0::2] = radius * np.cos(theta)
     out[1::2] = radius * np.sin(theta)
     return out[:count].reshape(shape)
-
-
-def permutation(seed: int, n: int) -> np.ndarray:
-    """Deterministic permutation of ``range(n)`` from the pinned stream."""
-    return uniform_stream(seed).permutation(n)

@@ -168,7 +168,7 @@ def _largest_remainder(prior_row: np.ndarray, n: int) -> np.ndarray:
 def cell_prototypes(config: BenchmarkConfig) -> np.ndarray:
     """Unit direction per (qtype, answer) cell, [K, m, v_in_dim]."""
     k, m, d = config.num_qtypes, config.answers_per_qtype, config.v_in_dim
-    raw = gaussian(mix_seed(config.seed, "prototypes"), (k, m, d))
+    raw = gaussian(uniform_stream(mix_seed(config.seed, "prototypes")), (k, m, d))
     norms = np.linalg.norm(raw, axis=2, keepdims=True)
     return raw / norms
 

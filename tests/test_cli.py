@@ -9,6 +9,7 @@ from debiasvqa import BenchmarkConfig, NumericalError, harness, load_report
 from debiasvqa.cli import load_config_file, main
 from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
+from debiasvqa.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,12 @@ def test_usage_errors_exit_one(capsys):
     assert main(["gen", "--bogus"]) == 1
     assert main(["report", "x.json", "--format", "xml"]) == 1
     capsys.readouterr()
+
+
+def test_only_gen_train_and_sweep_take_a_seed(capsys):
+    assert main(["eval", "m.ckpt", "x.split", "--seed", "1"]) == 1
+    assert main(["report", "x.json", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_missing_out_exits_two(tmp_path, capsys):
@@ -263,6 +270,24 @@ def test_malformed_report_exits_two(tmp_path, capsys, rows, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row, raw, message", [
+    (_report_row(sample_count="@"), "1e400", "'sample_count' has a non-finite value"),
+    (_report_row(sample_count="@"), "4.5", "'sample_count' must hold integers"),
+    (_report_row(per_qtype_counts="@"), "[2, 1e19]", "'per_qtype_counts' must hold integers"),
+    (_report_row(overall_accuracy="@"), "NaN", "'overall_accuracy' has a non-finite value"),
+    (_report_row(kl_to_split_prior="@"), "[0.0, -Infinity]", "'kl_to_split_prior' has a non-finite"),
+    ({**_report_row(), "gamma": "@"}, "Infinity", "'gamma' has a non-finite value"),
+], ids=["count-1e400", "count-fraction", "counts-1e19", "accuracy-nan", "kl-inf", "gamma-inf"])
+def test_non_finite_or_fractional_report_number_exits_two(tmp_path, capsys, row, raw, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1, "rows": [row]}).replace('"@"', raw))
+    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [{"format_version": 1}, {"format_version": 1, "rows": {}}],
                          ids=["no-rows", "rows-not-list"])
 def test_report_without_row_list_exits_two(tmp_path, capsys, payload):
@@ -320,6 +345,16 @@ def test_checkpoint_config_types_exit_two(pipeline, tmp_path, capsys, changes, m
     assert err.count("\n") == 1
 
 
+def test_non_finite_checkpoint_parameter_exits_two(pipeline, tmp_path, capsys):
+    params = load_checkpoint(pipeline / "model.ckpt")
+    params["fuse_w2"].data[3, 1] = np.nan
+    save_checkpoint(params, tmp_path / "nan.ckpt")
+    assert main(["eval", str(tmp_path / "nan.ckpt"), str(pipeline / "ood_test.split")]) == 2
+    err = capsys.readouterr().err
+    assert f"non-finite parameter value in checkpoint {tmp_path / 'nan.ckpt'}" in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -368,6 +403,32 @@ def test_config_file_gamma_list_for_sweep(pipeline, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     assert [r.gamma for r in load_report(out)] == [0.0, 1.5]
+    capsys.readouterr()
+
+
+def test_config_file_unknown_key_exits_two(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("variant=lpf\n# one epoch\nepoch=1\n")
+    rc = main(["train", str(pipeline / "train.split"),
+               "--config", str(cfg), "--out", str(tmp_path / "t.ckpt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: line 3: unknown key 'epoch'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+def test_one_config_file_drives_train_and_sweep(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("variant=lpf\ngamma=2\nepochs=1\nformat=csv\nseed=3\n")
+    ckpt, report = tmp_path / "both.ckpt", tmp_path / "both.csv"
+    assert main(["train", str(pipeline / "train.split"),
+                 "--config", str(cfg), "--out", str(ckpt)]) == 0
+    assert json.loads((tmp_path / "both.ckpt.runlog.json").read_text())["gamma"] == 2.0
+    assert main(["sweep", str(pipeline / "train.split"), str(pipeline / "id_test.split"),
+                 str(pipeline / "ood_test.split"), "--config", str(cfg), "--gamma", "0",
+                 "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[0] == ",".join(REPORT_CSV_COLUMNS)
     capsys.readouterr()
 
 

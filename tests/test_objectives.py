@@ -30,7 +30,7 @@ from debiasvqa.autodiff import (
 from debiasvqa.cli import model_config_for
 from debiasvqa.harness import TrainConfig, epoch_order, forward_batch
 from debiasvqa.model import init_params
-from debiasvqa.errors import ShapeError
+from debiasvqa.errors import ConfigError, ShapeError
 
 SOFTMAX_123_LAST = 0.6652409557748219  # e^3 / (e + e^2 + e^3)
 LN_4 = 1.3862943611198906
@@ -67,6 +67,13 @@ def test_ce_focal_and_precomputed_pin_gamma():
     assert LossVariant(VariantKind.FOCAL, 3.0).gamma == 1.0
     assert LossVariant(VariantKind.PRECOMPUTED, 0.2).gamma == 1.0
     assert LossVariant(VariantKind.CE, 3.0).gamma == 0.0
+
+
+def test_variant_kind_is_checked():
+    assert LossVariant("lpf", 2.0) == LossVariant.lpf(2.0)
+    assert LossVariant("focal").kind is VariantKind.FOCAL
+    with pytest.raises(ConfigError, match="unknown loss variant 'bogus'"):
+        LossVariant("bogus", 0.3)
 
 
 # ---------------------------------------------------------------------------
