@@ -10,7 +10,6 @@ from .autodiff import (
     Parameter,
     Tensor,
     adam_step,
-    cross_entropy_per_sample,
     grad_check,
     weighted_cross_entropy,
     zero_grad,

@@ -256,13 +256,6 @@ def _check_targets(targets: np.ndarray, n_classes: int) -> np.ndarray:
     return t
 
 
-def cross_entropy_per_sample(logits: np.ndarray, targets) -> np.ndarray:
-    """Unweighted per-sample cross entropy, -log softmax(logits)[i, t_i]."""
-    t = _check_targets(targets, logits.shape[1])
-    logp = softmax_parts(np.asarray(logits, dtype=np.float64))[1]
-    return -logp[np.arange(len(t)), t]
-
-
 def weighted_cross_entropy(logits: Tensor, targets, weights, parts=None) -> Tensor:
     """Mean of per-sample cross entropy scaled by constant weights.
 

@@ -14,4 +14,4 @@ class DataFormatError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when training produces a non-finite loss or parameter."""
+    """Raised when training or evaluation produces a non-finite loss, parameter or logit."""

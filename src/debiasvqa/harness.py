@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,52 +76,41 @@ class EpochStats:
 
 @dataclass
 class RunLog:
-    variant: LossVariant
     epochs: list[EpochStats] = field(default_factory=list)
+
+
+def _dims(ndim: int, integral: bool = False, optional: bool = False):
+    """A report field's entry in the table that to_dict and from_dict read."""
+    return field(metadata={"ndim": ndim, "integral": integral, "optional": optional})
 
 
 @dataclass
 class EvalReport:
-    overall_accuracy: float
-    per_qtype_accuracy: np.ndarray          # [K]
-    per_qtype_counts: np.ndarray            # [K]
-    predicted_distribution: np.ndarray      # [K, A], rows sum to 1
-    kl_to_split_prior: np.ndarray           # [K]
-    kl_to_train_prior: np.ndarray | None    # [K], set when train priors given
-    sample_count: int
+    overall_accuracy: float = _dims(0)
+    per_qtype_accuracy: np.ndarray = _dims(1)                # [K]
+    per_qtype_counts: np.ndarray = _dims(1, integral=True)   # [K]
+    predicted_distribution: np.ndarray = _dims(2)            # [K, A], rows sum to 1
+    kl_to_split_prior: np.ndarray = _dims(1)                 # [K]
+    kl_to_train_prior: np.ndarray | None = _dims(1, optional=True)  # [K] given train priors
+    sample_count: int = _dims(0, integral=True)
 
     def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "per_qtype_accuracy": self.per_qtype_accuracy.tolist(),
-            "per_qtype_counts": self.per_qtype_counts.tolist(),
-            "predicted_distribution": self.predicted_distribution.tolist(),
-            "kl_to_split_prior": self.kl_to_split_prior.tolist(),
-            "kl_to_train_prior": (
-                None if self.kl_to_train_prior is None
-                else self.kl_to_train_prior.tolist()),
-            "sample_count": self.sample_count,
-        }
+        return {f.name: v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray) else v
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            overall_accuracy=float(_report_field(d, "overall_accuracy", 0)),
-            per_qtype_accuracy=_report_field(d, "per_qtype_accuracy", 1),
-            per_qtype_counts=_report_field(d, "per_qtype_counts", 1, integral=True),
-            predicted_distribution=_report_field(d, "predicted_distribution", 2),
-            kl_to_split_prior=_report_field(d, "kl_to_split_prior", 1),
-            kl_to_train_prior=(None if d["kl_to_train_prior"] is None
-                               else _report_field(d, "kl_to_train_prior", 1)),
-            sample_count=int(_report_field(d, "sample_count", 0, integral=True)),
-        )
+        return cls(**{f.name: _report_field(d, f.name, **f.metadata) for f in fields(cls)})
 
 
-def _report_field(d: dict, key: str, ndim: int, integral: bool = False) -> np.ndarray:
-    """A report field as a finite float64 (or exact int64) array of ``ndim`` dimensions.
+def _report_field(d: dict, key: str, ndim: int, integral: bool = False, optional: bool = False):
+    """A report field as a finite float64 (or exact int64) array of ``ndim``
+    dimensions, a Python number when ``ndim`` is 0, or None if ``optional``.
 
     Raises ValueError, TypeError or OverflowError on a wrongly typed field.
     """
+    if optional and d[key] is None:
+        return None
     value = np.array(d[key], dtype=np.float64)
     if value.ndim != ndim:
         raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
@@ -129,7 +118,8 @@ def _report_field(d: dict, key: str, ndim: int, integral: bool = False) -> np.nd
         raise ValueError(f"{key!r} has a non-finite value")
     if integral and not ((value == np.floor(value)) & (np.abs(value) <= 2 ** 53)).all():
         raise ValueError(f"{key!r} must hold integers of at most 2**53")
-    return value.astype(np.int64) if integral else value
+    value = value.astype(np.int64) if integral else value
+    return value.item() if ndim == 0 else value
 
 
 @dataclass
@@ -175,7 +165,7 @@ def train(train_split: Split, config: TrainConfig,
     priors = None
     if config.variant.kind == VariantKind.PRECOMPUTED:
         priors = build_prior_table(train_split)
-    log = RunLog(variant=config.variant)
+    log = RunLog()
     n = len(train_split)
     step = 0
     for epoch in range(config.epochs):
@@ -242,9 +232,11 @@ def evaluate(params: VqaModelParams, split: Split,
     if len(split) == 0:
         raise ValueError("cannot evaluate on an empty split")
     check_compatible(split, params.config)
-    q = encode_question(split.tokens, params)
-    v = encode_visual(split.features, params)
-    logits = predict_vqa(v, q, params).data
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite parameters overflow
+        q = encode_question(split.tokens, params)
+        logits = predict_vqa(encode_visual(split.features, params), q, params).data
+    if not np.isfinite(logits).all():
+        raise NumericalError("the forward pass gives non-finite logits")
     preds = logits.argmax(axis=1)
     answers = split.answers
     k, a, qtypes = split.num_qtypes, split.num_answers, split.qtypes
@@ -344,7 +336,7 @@ def load_report(path) -> list[SweepRow]:
             f"{path}: report version {version!r}, expected {REPORT_FORMAT_VERSION}")
     try:
         return [SweepRow(
-            gamma=float(_report_field(row, "gamma", 0)),
+            gamma=_report_field(row, "gamma", 0),
             id_report=EvalReport.from_dict(row["id"]),
             ood_report=EvalReport.from_dict(row["ood"]),
         ) for row in payload["rows"]]

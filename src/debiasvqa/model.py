@@ -80,7 +80,7 @@ class VqaModelParams:
         return self._params[name]
 
     def names(self) -> list[str]:
-        return list(_parameter_shapes(self.config))
+        return list(self._params)
 
     def all_parameters(self) -> list[Parameter]:
         return [self._params[n] for n in self.names()]
@@ -183,47 +183,52 @@ def predict_qo(q: Tensor, params: VqaModelParams) -> Tensor:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def _tensor_headers(config: ModelConfig) -> list[tuple[str, tuple[int, ...], bytes]]:
+    """Name, shape and header bytes (name length, ASCII name, ndim, dims) of
+    each checkpoint tensor, in parameter order."""
+    return [(name, shape, struct.pack(f"<I{len(name)}sI{len(shape)}q", len(name),
+                                      name.encode("ascii"), len(shape), *shape))
+            for name, shape in _parameter_shapes(config).items()]
+
+
 def save_checkpoint(params: VqaModelParams, path) -> None:
     """Write parameter values to a flat binary file.
 
-    Layout: magic, version, config as JSON, then per tensor a name,
-    shape, and raw little-endian float64 data in fixed parameter order.
+    Layout: magic, version, config as JSON, tensor count, then per tensor
+    its :func:`_tensor_headers` bytes and raw little-endian float64 data.
     The format is free of timestamps, so identical parameters produce
     byte-identical files.
     """
     config_blob = json.dumps(
         {f.name: getattr(params.config, f.name) for f in fields(ModelConfig)},
         sort_keys=True).encode("utf-8")
+    headers = _tensor_headers(params.config)
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", _CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(config_blob)))
+        fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(config_blob)))
         fh.write(config_blob)
-        names = params.names()
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            data = np.ascontiguousarray(params[name].data)
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}q", *data.shape))
-            fh.write(data.astype("<f8").tobytes())
+        fh.write(struct.pack("<I", len(headers)))
+        for name, _, header in headers:
+            fh.write(header)
+            fh.write(params[name].data.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> VqaModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`, bitwise."""
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
+    view = memoryview(Path(path).read_bytes())
     pos = 0
 
     def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(view):
             raise DataFormatError(f"checkpoint truncated at byte {pos} in {path}")
-        chunk = view[pos:pos + n]
         pos += n
-        return chunk
+        return view[pos - n:pos]
+
+    def expect(want: bytes, what: str) -> None:  # the config fixes it: compare, never parse
+        at = pos
+        if bytes(take(len(want))) != want:
+            raise DataFormatError(f"{what} at byte {at} in {path} does not match its config")
 
     if bytes(take(len(_CHECKPOINT_MAGIC))) != _CHECKPOINT_MAGIC:
         raise DataFormatError(f"not a checkpoint file: {path}")
@@ -233,15 +238,13 @@ def load_checkpoint(path) -> VqaModelParams:
     (config_len,) = struct.unpack("<I", take(4))
     try:
         config = ModelConfig(**json.loads(bytes(take(config_len)).decode("utf-8")))
-    except (ValueError, TypeError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+        headers = _tensor_headers(config)
+    except (ValueError, TypeError, struct.error) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         raise DataFormatError(f"bad checkpoint config in {path}: {exc}") from None
-    (count,) = struct.unpack("<I", take(4))
+    expect(struct.pack("<I", len(headers)), "tensor count")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))  # a negative dim reads as oversized
+    for name, shape, header in headers:
+        expect(header, f"header of tensor {name!r}")
         tensors[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     if pos != len(view):
         raise DataFormatError(f"trailing bytes in checkpoint {path}")

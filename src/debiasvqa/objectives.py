@@ -110,7 +110,6 @@ class PriorTable:
 @dataclass
 class BatchLossRecord:
     """Per-batch observability: what the reweighting actually did."""
-    ce: np.ndarray      # per-sample unweighted cross entropy
     alpha: np.ndarray   # per-sample bias factor
     beta: np.ndarray    # per-sample weight (1 - alpha)^gamma
     lpf: float          # reweighted classification loss (batch mean)
@@ -227,7 +226,6 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     l_lpf, weights = _lpf_loss_and_weights(logits_vqa, t, alpha, variant.gamma, vqa_parts)
     total = total_loss(l_lpf, l_qo)
     record = BatchLossRecord(
-        ce=-vqa_parts[1][np.arange(len(t)), t],
         alpha=alpha,
         beta=weights,
         lpf=float(l_lpf.data),

@@ -1,6 +1,8 @@
-"""Shared fixtures: toy configurations and the total-loss check builder."""
+"""Shared fixtures: toy configurations, the total-loss check builder and
+the hypothesis settings every property test runs under."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from debiasvqa import (
     BenchmarkConfig,
@@ -14,7 +16,19 @@ from debiasvqa import (
     qo_loss,
     total_loss,
 )
+from debiasvqa.autodiff import softmax_parts
 from debiasvqa.model import encode_question, encode_visual
+
+# reproducible property tests: no random seed, no example database, no
+# deadline; each test file sets only its max_examples
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
+
+
+def cross_entropy_per_sample(logits, targets) -> np.ndarray:
+    """Unweighted per-sample cross entropy, -log softmax(logits)[i, t_i]."""
+    logp = softmax_parts(np.asarray(logits, dtype=np.float64))[1]
+    return -logp[np.arange(len(targets)), targets]
 
 
 def toy_model_config(seed: int) -> ModelConfig:

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cross_entropy_per_sample
 from debiasvqa.autodiff import (
     Parameter,
     Tensor,
     adam_step,
     add,
-    cross_entropy_per_sample,
     embedding_mean,
     flat_parameters,
     grad_check,

@@ -14,8 +14,8 @@ from debiasvqa.cli import main
 from debiasvqa.model import init_params, save_checkpoint
 from debiasvqa.synthbench import build_priors, generate_split, save_split
 
-# small and reproducible: all of this file runs in about a second
-CHECKPOINT_IO = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# small: all of this file runs in about a second
+CHECKPOINT_IO = settings(max_examples=150)
 
 
 def size_fields(blob: bytes) -> list[tuple[int, str]]:
@@ -74,3 +74,23 @@ def test_corrupted_checkpoint_is_scored_or_rejected_in_one_line(valid, data):
     assert code == 2 or (kind == "flip" and code == 0)  # a flipped weight bit still scores
     if code == 2:
         assert err.getvalue().count("\n") == 1
+
+
+def first_name_byte(blob: bytes) -> int:
+    """Offset of the first tensor name: after the config, the count and the name length."""
+    (config_len,) = struct.unpack_from("<I", blob, 12)
+    return 16 + config_len + 8
+
+
+@pytest.mark.parametrize("edit", [lambda b: b ^ 0x80, lambda b: ord("u")],
+                         ids=["top-bit-flipped", "renamed-uoken"])
+def test_corrupt_tensor_name_names_file_and_tensor(valid, capsys, edit):
+    root, blob = valid
+    i = first_name_byte(blob)
+    assert blob[i:i + 16] == b"token_embeddings"
+    bad = root / "bad_name.ckpt"
+    bad.write_bytes(blob[:i] + bytes([edit(blob[i])]) + blob[i + 1:])
+    assert main(["eval", str(bad), str(root / "test.split")]) == 2
+    err = capsys.readouterr().err
+    assert f"header of tensor 'token_embeddings' at byte {i - 4} in {bad}" in err
+    assert err.count("\n") == 1

@@ -345,6 +345,15 @@ def test_checkpoint_config_types_exit_two(pipeline, tmp_path, capsys, changes, m
     assert err.count("\n") == 1
 
 
+def test_checkpoint_config_dim_past_int64_exits_two(pipeline, tmp_path, capsys):
+    bad = _rewrite_checkpoint_config(pipeline / "model.ckpt", tmp_path / "bad.ckpt",
+                                     vocab_size=2 ** 63)  # no int64 tensor header can hold it
+    assert main(["eval", str(bad), str(pipeline / "id_test.split")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad checkpoint config in {bad}" in err
+    assert err.count("\n") == 1
+
+
 def test_non_finite_checkpoint_parameter_exits_two(pipeline, tmp_path, capsys):
     params = load_checkpoint(pipeline / "model.ckpt")
     params["fuse_w2"].data[3, 1] = np.nan
@@ -352,6 +361,16 @@ def test_non_finite_checkpoint_parameter_exits_two(pipeline, tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nan.ckpt"), str(pipeline / "ood_test.split")]) == 2
     err = capsys.readouterr().err
     assert f"non-finite parameter value in checkpoint {tmp_path / 'nan.ckpt'}" in err
+    assert err.count("\n") == 1
+
+
+def test_overflowing_forward_pass_exits_three(pipeline, tmp_path, capsys):
+    params = load_checkpoint(pipeline / "model.ckpt")
+    params["token_embeddings"].data[...] = 1e308  # finite, so the checkpoint is well-formed
+    save_checkpoint(params, tmp_path / "huge.ckpt")
+    assert main(["eval", str(tmp_path / "huge.ckpt"), str(pipeline / "id_test.split")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: the forward pass gives non-finite logits" in err
     assert err.count("\n") == 1
 
 

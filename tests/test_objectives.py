@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from conftest import cross_entropy_per_sample
 from debiasvqa import (
     LossVariant,
     PriorTable,
@@ -21,7 +22,6 @@ from debiasvqa import (
 )
 from debiasvqa.autodiff import (
     Parameter,
-    cross_entropy_per_sample,
     grad_check,
     linear,
     softmax_parts,
