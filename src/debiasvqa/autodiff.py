@@ -1,11 +1,11 @@
 """Minimal deterministic reverse-mode differentiation on float64 arrays.
 
-The graph is a tape of ``Tensor`` nodes; each operation records a closure
-that routes the upstream gradient to its inputs with the exact analytic
-rule.  Everything runs in 64-bit numpy with a fixed summation order
-(repeated embedding rows are summed by ``np.bincount``, in input order),
-so identical inputs give bitwise-identical outputs, which the
-training-equivalence and determinism tests rely on.
+The graph is a tape of ``Tensor`` nodes; an op with an input that needs a
+gradient records a closure routing the upstream gradient to its inputs by
+the exact analytic rule, each as a fresh array that an input holding no
+gradient yet keeps as its ``grad`` uncopied.  All math is 64-bit numpy in a
+fixed order (embedding rows summed in token order, their gradients by
+``np.bincount``), so equal inputs give bitwise-equal outputs.
 """
 from __future__ import annotations
 
@@ -116,11 +116,9 @@ def flat_parameters(arrays: dict[str, np.ndarray]) -> tuple[Parameter, dict[str,
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
-    if not node.requires_grad:
-        return
-    if node.grad is None:
-        node.grad = grad.copy()
-    else:
+    if node.requires_grad and node.grad is None:  # grad is fresh and unshared: keep it
+        node.grad = grad
+    elif node.requires_grad:
         node.grad += grad
 
 
@@ -154,7 +152,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     y = x.data @ w.data
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -169,10 +167,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is taken to be 0."""
-    mask = x.data > 0.0
-
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.data > 0.0))
 
     return _make_node(np.maximum(x.data, 0.0), (x,), backward)
 
@@ -183,8 +179,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g.copy())
+        _accumulate(b, g.copy())
 
     return _make_node(a.data + b.data, (a, b), backward)
 
@@ -204,9 +200,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     """Mean of embedding rows per sample: [B, T] ids over [V, E] -> [B, E].
 
-    Backward sums g / T into the looked-up rows with one ``np.bincount``
-    over the flat ``row * E + col`` cell index, which adds repeated ids in
-    input order, so the result is deterministic.
+    Forward adds each token's [B, E] rows in token order (no [B, T, E]
+    gather); backward sums g / T into them with one ``np.bincount`` over
+    the flat ``row * E + col`` cell index, adding repeated ids in order.
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2 or ids.size == 0:
@@ -220,11 +216,12 @@ def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
             f"embedding_mean: token id out of range [0, {table.data.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}")
     n_tokens = ids.shape[1]
-    out = table.data[ids].mean(axis=1)
+    out = table.data[ids[:, 0]]
+    for j in range(1, n_tokens):
+        out += table.data[ids[:, j]]
+    out /= n_tokens
 
-    def backward(g: np.ndarray) -> None:
-        if not table.requires_grad:
-            return
+    def backward(g: np.ndarray) -> None:  # recorded only when the table needs a gradient
         cells = np.arange(table.data.size).reshape(table.data.shape)[ids].reshape(-1)
         per_token = np.repeat(g / n_tokens, n_tokens, axis=0).reshape(-1)
         summed = np.bincount(cells, weights=per_token, minlength=table.data.size)

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, read_text
 from .harness import (
     REPORT_FORMAT_VERSION,
     TrainConfig,
@@ -104,7 +104,7 @@ def load_config_file(path) -> dict[str, str]:
     """
     keys = _config_keys(build_parser())
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autodiff import Tensor, adam_step, zero_grad
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, read_text
 from .model import (
     ModelConfig,
     VqaModelParams,
@@ -109,8 +109,10 @@ def _report_field(d: dict, key: str, ndim: int, integral: bool = False, optional
 
     Raises ValueError, TypeError or OverflowError on a wrongly typed field.
     """
-    if optional and d[key] is None:
+    if d[key] is None and optional:
         return None
+    if d[key] is None:
+        raise ValueError(f"{key!r} is null, expected {'a number' if ndim == 0 else 'an array of numbers'}")
     value = np.array(d[key], dtype=np.float64)
     if value.ndim != ndim:
         raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
@@ -232,9 +234,10 @@ def evaluate(params: VqaModelParams, split: Split,
     if len(split) == 0:
         raise ValueError("cannot evaluate on an empty split")
     check_compatible(split, params.config)
+    frozen = {name: params[name].detach() for name in params.names()}  # no op keeps a graph
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite parameters overflow
-        q = encode_question(split.tokens, params)
-        logits = predict_vqa(encode_visual(split.features, params), q, params).data
+        q = encode_question(split.tokens, frozen)
+        logits = predict_vqa(encode_visual(split.features, frozen), q, frozen).data
     if not np.isfinite(logits).all():
         raise NumericalError("the forward pass gives non-finite logits")
     preds = logits.argmax(axis=1)
@@ -323,11 +326,10 @@ def emit_report(rows: list[SweepRow], path, format: str = "json") -> None:
 
 def load_report(path) -> list[SweepRow]:
     """Read back a json-format report produced by emit_report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: bad report: {exc}") from None
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: bad report: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
         raise DataFormatError(f"{path}: not a report file")
     version = payload.get("format_version")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, read_text
 from .objectives import PriorTable
 from .rng import gaussian, mix_seed, uniform_stream
 
@@ -298,8 +298,7 @@ def load_split(path) -> Split:
     a non-finite feature, tokens that are not their question type's
     template, or an answer outside its question type's block.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header line")
     try:

@@ -277,6 +277,52 @@ def test_embedding_mean_backward_matches_add_at_bitwise():
     assert np.array_equal(table.grad, expected)
 
 
+def test_embedding_mean_forward_matches_numpy_mean_bitwise():
+    # numpy's mean over the token axis adds the rows in order, except for a
+    # one-column table with 8 or more tokens, where the reduced axis is
+    # contiguous and numpy's unrolled pairwise sum rounds differently
+    rng = np.random.default_rng(12)
+    for embed_dim in (1, 2, 3, 16):
+        for n_tokens in range(1, 13):
+            table = Parameter(rng.normal(size=(9, embed_dim)))
+            ids = rng.integers(0, 9, size=(50, n_tokens))
+            got = embedding_mean(table, ids).data
+            if embed_dim >= 2 or n_tokens < 8:
+                assert np.array_equal(got, table.data[ids].mean(axis=1)), (embed_dim, n_tokens)
+            token_order = table.data[ids[:, 0]].copy()
+            for j in range(1, n_tokens):
+                token_order = token_order + table.data[ids[:, j]]
+            assert np.array_equal(got, token_order / n_tokens), (embed_dim, n_tokens)
+
+
+def test_add_of_one_input_twice_doubles_its_gradient():
+    x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+    g = np.array([[0.25, -3.0, 7.0]])
+    total = add(x, x)
+    _sum_entries(multiply(total, Tensor(g))).backward()
+    assert np.array_equal(x.grad, 2.0 * g)
+    assert np.array_equal(total.grad, g)  # the consumer's own buffer is left alone
+    assert not np.shares_memory(x.grad, total.grad)
+
+
+def test_no_two_nodes_share_a_gradient_buffer():
+    rng = np.random.default_rng(13)
+    w, b = Parameter(rng.normal(size=(3, 4))), Parameter(rng.normal(size=(4,)))
+    table = Parameter(rng.normal(size=(5, 3)))
+    x = embedding_mean(table, rng.integers(0, 5, size=(6, 2)))
+    h = relu(linear(x, w, b))
+    logits = multiply(add(h, h), linear(x, w))
+    loss = add(weighted_cross_entropy(logits, [0, 1, 2, 3, 0, 1], np.ones(6)),
+               weighted_cross_entropy(h, [3, 2, 1, 0, 3, 2], np.full(6, 0.5)))
+    loss.backward()
+    nodes = [x, h, logits, loss, w, b, table, h._parents[0], logits._parents[0],
+             logits._parents[1], loss._parents[0], loss._parents[1]]
+    assert all(n.grad is not None for n in nodes)
+    for i, a in enumerate(nodes):
+        for other in nodes[i + 1:]:
+            assert not np.shares_memory(a.grad, other.grad), (a, other)
+
+
 def test_detach_blocks_gradient():
     p = Parameter([[1.0, -2.0, 0.5]])
     live = weighted_cross_entropy(linear(Tensor(np.eye(1)), p), [0], np.ones(1))

@@ -288,6 +288,20 @@ def test_non_finite_or_fractional_report_number_exits_two(tmp_path, capsys, row,
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    ("overall_accuracy", "'overall_accuracy' is null, expected a number"),
+    ("per_qtype_accuracy", "'per_qtype_accuracy' is null, expected an array of numbers"),
+], ids=["accuracy", "per-qtype-accuracy"])
+def test_null_report_number_exits_two(tmp_path, capsys, field, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1, "rows": [_report_row(**{field: None})]}))
+    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [{"format_version": 1}, {"format_version": 1, "rows": {}}],
                          ids=["no-rows", "rows-not-list"])
 def test_report_without_row_list_exits_two(tmp_path, capsys, payload):
@@ -458,3 +472,31 @@ def test_config_file_bad_number_exits_two(pipeline, tmp_path, capsys):
                "--config", str(cfg), "--out", str(tmp_path / "b.ckpt")])
     assert rc == 2
     assert "epochs" in capsys.readouterr().err
+
+
+def _with_byte_e6(path, dst, lineno):
+    """A copy of ``path`` whose line ``lineno`` starts with the lone byte 0xe6."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xe6" + lines[lineno - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("kind", ["split", "report", "config"])
+def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys, kind):
+    if kind == "split":
+        bad = _with_byte_e6(pipeline / "ood_test.split", tmp_path / "bad.split", 3)
+        argv = ["eval", str(pipeline / "model.ckpt"), str(bad)]
+    elif kind == "report":
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"format_version": 1, "rows": [_report_row()]}, indent=2))
+        bad = _with_byte_e6(good, tmp_path / "bad.json", 3)
+        argv = ["report", str(bad), "--out", str(tmp_path / "r.csv")]
+    else:
+        (tmp_path / "good.cfg").write_text("# seed for gen\nseed=1\n")
+        bad = _with_byte_e6(tmp_path / "good.cfg", tmp_path / "bad.cfg", 3)
+        argv = ["gen", "--config", str(bad), "--out", str(tmp_path / "gen")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3: not UTF-8 text" in err
+    assert err.count("\n") == 1

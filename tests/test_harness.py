@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from debiasvqa import (
     BenchmarkConfig,
     LossVariant,
     Split,
+    SweepRow,
+    Tensor,
     TrainConfig,
     adam_step,
     batch_objective,
@@ -26,6 +29,8 @@ from debiasvqa import (
     train,
     zero_grad,
 )
+from debiasvqa import harness
+from debiasvqa.autodiff import embedding_mean
 from debiasvqa.cli import main, model_config_for
 from debiasvqa.errors import ConfigError, DataFormatError
 from debiasvqa.harness import (
@@ -298,6 +303,58 @@ def test_evaluate_rejects_empty_and_missing_qtypes(toy):
         evaluate(params, rows(train_s.qtypes == 0))
 
 
+@pytest.fixture(scope="module")
+def default_shifted():
+    """A briefly trained default-size model and a default 4000-sample shifted split."""
+    bench = BenchmarkConfig(seed=3, n_train=1000)
+    train_s, _, ood_s = make_benchmark(bench)
+    config = TrainConfig(variant=LossVariant.lpf(5.0), model=model_config_for(bench, 3),
+                         epochs=2, seed=3)
+    return train(train_s, config)[0], ood_s
+
+
+def test_evaluate_scores_the_training_forward_pass_without_a_graph(default_shifted, monkeypatch):
+    params, ood_s = default_shifted
+    seen, predict_vqa = [], harness.predict_vqa
+
+    def spy(v_emb, q, p):
+        seen.append(predict_vqa(v_emb, q, p))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "predict_vqa", spy)
+    evaluate(params, ood_s)
+    monkeypatch.undo()
+    (logits,) = seen
+    assert np.array_equal(logits.data, forward_batch(params, ood_s.tokens, ood_s.features)[0].data)
+    assert not logits.requires_grad and logits._parents == ()
+    for p in params.all_parameters():
+        assert not p.grad.any(), p.name
+
+
+# Traced peaks on the default shifted split: evaluate holds the live
+# intermediates of one forward pass (about 3.65 MB; 8.1 MB while it kept
+# the autodiff graph), and embedding_mean its [B, E] output plus one
+# [B, E] row gather (a [B, T, E] gather would be T + 1 outputs).
+EVALUATE_PEAK_BYTES = 3_900_000
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_allocation_peak_is_bounded(default_shifted):
+    params, ood_s = default_shifted
+    assert _traced_peak(evaluate, params, ood_s, ood_s.priors) <= EVALUATE_PEAK_BYTES
+    table = Tensor(params["token_embeddings"].data)
+    out_bytes = len(ood_s) * table.data.shape[1] * 8
+    assert _traced_peak(embedding_mean, table, ood_s.tokens) <= 2.5 * out_bytes
+
+
 # ---------------------------------------------------------------------------
 # sweep and reports
 # ---------------------------------------------------------------------------
@@ -467,3 +524,51 @@ def test_gen_matches_pinned_split_digests(tmp_path, capsys):
     capsys.readouterr()
     for name, pinned in PINNED_SPLITS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned, name
+
+
+# SHA-256 of the json report ``emit_report`` writes for one row holding
+# the in-distribution and shifted reports (with train priors) of the
+# pinned 3-epoch models above, each scored on a default-size 4000-sample
+# test split.  Recorded while ``evaluate`` still built a full autodiff
+# graph; the forward pass may change how it allocates, never what it
+# computes.
+PINNED_REPORTS = {
+    "0-ce": "90d0ae3a72a793be371a64b4cc272463f4c317e8ef9d481df3de96bfd1110c26",
+    "0-lpf5": "daf2ec14595a058780827972cb8723bf0cb3a5b15d2817132afa4d6fda89ed8b",
+    "0-focal": "ccdc8f245badceafeb937a5b11cd8da7b57e0e31ca3c7502d6d61fc70ed9b531",
+    "0-precomputed": "02337971e5ddd959daa13e4af6cf5ab59ee4b6976a77a273ec5fa11cb11085ed",
+    "1-ce": "9588bfc5ba6d20dfc6c0c84539d5e48fd259b0dc1a9b2531fe7e81a7a91fbae0",
+    "1-lpf5": "086ade35cc89b396262c5f83c31c2a68877b190008e486026a1b195e35abda8d",
+    "1-focal": "8549df93ca0d112811f88607f3411acf084a87f4c93bc9876a8c2305df41e0d6",
+    "1-precomputed": "9221a4cd74c93a7616705f8a5e5e23af80dbf66b8d045852af12ba40959c2bbb",
+    "2-ce": "f2ce6fa35a539fd755eff8dbcd074c1f0c4a054dc81683f03f16c2c4c067253b",
+    "2-lpf5": "2675548407d98e28f946b097a2db9e993b49bbf6440fb560ba274bebdcf9f4f1",
+    "2-focal": "1452265ff788979da7a57110e1dad0097de3e785f0ba34fb7e525c83b6bad990",
+    "2-precomputed": "6e5c1db23638e0f0e9036523147c88cf041aa83cc884f6d26548699302a37150",
+    "3-ce": "ac9f35c84be974405517ef440b2587080a5a0e3b11dcbec33e6b6a0a841fc220",
+    "3-lpf5": "049112412d465fa17fcfd16a585e775a77c22765cb51d95ce1542cec4a3dc6c6",
+    "3-focal": "cfb1eb232cd0769ff67dd71b633f875f94a1bca63808d341407647337a61fbe1",
+    "3-precomputed": "048607a5864cce8205c526aaa1e2afb550d3a8d9f44273b83755b334e3be88e5",
+    "4-ce": "85e6bd42086c6766ee469f4611d67ef9f26512003d1d070ffa6bf2807094259a",
+    "4-lpf5": "bdd02a10cf9104fff3b502c5d7e6b7abbb8f80f8b058653ccc0d72b6f3c5a1d1",
+    "4-focal": "a2c89e69e87caed284a2ad4469091c64af3568dbe96a42e49d55f425ec961663",
+    "4-precomputed": "4e93458af4d16c7aa853a00a0b4dc9fe23eb959e679daf5a4d856361dff5aa81",
+}
+
+
+@pytest.mark.skipif(_numpy_build() != PINNED_BUILD,
+                    reason=f"numpy/BLAS build {_numpy_build()} differs from the pinned {PINNED_BUILD}")
+@pytest.mark.parametrize("seed", range(5))
+def test_eval_reports_match_pinned_digests(seed, tmp_path):
+    train_s, id_s, ood_s = make_benchmark(BenchmarkConfig(seed=seed, n_train=1000))
+    for name, variant in PINNED_VARIANTS.items():
+        config = TrainConfig(variant=variant, model=model_config_for(train_s.config, seed),
+                             epochs=3, seed=seed)
+        params, _ = train(train_s, config)
+        row = SweepRow(gamma=variant.gamma,
+                       id_report=evaluate(params, id_s, train_priors=train_s.priors),
+                       ood_report=evaluate(params, ood_s, train_priors=train_s.priors))
+        path = tmp_path / f"{name}.json"
+        emit_report([row], path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_REPORTS[f"{seed}-{name}"], name
