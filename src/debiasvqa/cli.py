@@ -5,11 +5,13 @@ files, ``train`` produces a checkpoint and run log, ``eval`` scores a
 checkpoint on a split, ``sweep`` trains one model per gamma and writes a
 report, ``report`` converts report files between formats.
 
-Every flag can also come from a ``--config`` file of ``key=value`` lines
-(keys named like the flags without the leading dashes; a key may be any
-subcommand's flag, and any other key is an error); explicit flags win
-over file values.  Exit codes: 0 success, 1 usage error, 2 data or
-format error, 3 numerical failure.
+:func:`build_parser` declares each flag's type, choices and default
+once.  A ``--config`` file of ``key=value`` lines may set any flag of
+any subcommand (without the dashes; any other key is an error); the
+running subcommand reads its keys through those declarations before any
+work, a repeatable flag as a comma list.  An explicit flag wins over the
+file, the file over the default.  Exit codes: 0 success, 1 usage error,
+2 data or format error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -41,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Repeat(argparse.Action):
+    """A repeatable flag whose first use replaces the default list, which may come from a file."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        values = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if values is self.default else values), value])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="debiasvqa",
                      description="Bias-aware VQA training on a synthetic changing-priors benchmark.")
@@ -48,23 +58,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value file mirroring the flags; flags override")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out")
 
     def training_flags(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--lr", type=float, default=TrainConfig.lr)
+        p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
 
     p = sub.add_parser("gen", help="generate train/id-test/ood-test split files")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train on a split file, write a checkpoint")
     p.add_argument("split", help="training split file")
     common(p)
-    p.add_argument("--variant", choices=[k.value for k in VariantKind], default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--variant", choices=[k.value for k in VariantKind], default="ce")
+    p.add_argument("--gamma", type=float, default=1.0, help="lpf only; ce uses 0, focal 1, precomputed 1")
     training_flags(p)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split file")
@@ -77,32 +87,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id_split")
     p.add_argument("ood_split")
     common(p)
-    p.add_argument("--gamma", type=float, action="append", default=None,
+    p.add_argument("--gamma", type=float, action=_Repeat, default=[],
                    help="repeatable; at least one value required")
     training_flags(p)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("report", help="convert a json report to csv or json")
     p.add_argument("report")
     common(p)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Every ``--flag`` of every subcommand without its dashes, except ``--help`` and ``--config``."""
+def _flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Per subcommand, its ``--flag`` actions keyed without the dashes, except --help and --config."""
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag[2:] for p in subcommands.choices.values() for a in p._actions
-            if a.dest not in ("help", "config") for flag in a.option_strings}
+    return {name: {a.option_strings[-1][2:]: a for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+            for name, p in subcommands.choices.items()}
 
 
 def load_config_file(path) -> dict[str, str]:
     """Parse ``key=value`` lines; '#' comments and blank lines allowed.
 
-    A key that is not in :func:`_config_keys` is an error, so one file can
+    A key that is no subcommand's flag is an error, so one file can
     drive several subcommands but a misspelt key is never ignored.
     """
-    keys = _config_keys(build_parser())
+    keys = set().union(*_flags(build_parser()).values())
     values: dict[str, str] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -117,28 +128,17 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Flag values resolved against a config file and defaults."""
-
-    def __init__(self, args):
-        self.file = load_config_file(args.config) if args.config else {}
-        self.args = args
-
-    def get(self, key: str, convert, default):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if key in self.file:
-            try:
-                return convert(self.file[key])
-            except ValueError as exc:
-                raise DataFormatError(f"config key {key!r}: {exc}") from None
-        return default
-
-
-def _variant_from(options: _Options) -> LossVariant:
-    name = options.get("variant", str, "ce")
-    return LossVariant(name, options.get("gamma", float, 1.0) if name == VariantKind.LPF else 0.0)
+def _read_value(key: str, action: argparse.Action, text: str):
+    """A file value read by its flag's type and choices; a repeatable flag reads a comma list."""
+    texts = [t for t in text.split(",") if t.strip()] if isinstance(action, _Repeat) else [text]
+    try:
+        values = [(action.type or str)(t) for t in texts]
+    except ValueError as exc:
+        raise DataFormatError(f"config key {key!r}: {exc}") from None
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise DataFormatError(f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}")
+    return values if isinstance(action, _Repeat) else values[0]
 
 
 def model_config_for(bench: BenchmarkConfig, seed: int) -> ModelConfig:
@@ -149,28 +149,14 @@ def model_config_for(bench: BenchmarkConfig, seed: int) -> ModelConfig:
                        seed=seed)
 
 
-def _train_config(options: _Options, bench: BenchmarkConfig, variant: LossVariant) -> TrainConfig:
-    seed = options.get("seed", int, 0)
-    return TrainConfig(
-        variant=variant,
-        model=model_config_for(bench, seed),
-        lr=options.get("lr", float, TrainConfig.lr),
-        batch_size=options.get("batch-size", int, TrainConfig.batch_size),
-        epochs=options.get("epochs", int, TrainConfig.epochs),
-        seed=seed,
-    )
+def _train_config(args, bench: BenchmarkConfig, variant: LossVariant) -> TrainConfig:
+    return TrainConfig(variant=variant, model=model_config_for(bench, args.seed), lr=args.lr,
+                       batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
 
 
-def _require_out(options: _Options, parser_hint: str) -> str:
-    out = options.get("out", str, None)
-    if out is None:
-        raise ConfigError(f"{parser_hint} needs --out (or out= in the config file)")
-    return out
-
-
-def _cmd_gen(options: _Options) -> int:
-    out_dir = Path(_require_out(options, "gen"))
-    splits = make_benchmark(BenchmarkConfig(seed=options.get("seed", int, 0)))
+def _cmd_gen(args) -> int:
+    out_dir = Path(args.out)
+    splits = make_benchmark(BenchmarkConfig(seed=args.seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, split in zip(("train", "id_test", "ood_test"), splits):
         save_split(split, out_dir / f"{name}.split")
@@ -178,13 +164,12 @@ def _cmd_gen(options: _Options) -> int:
     return 0
 
 
-def _cmd_train(options: _Options) -> int:
-    out = _require_out(options, "train")
-    split = load_split(options.args.split)
-    config = _train_config(options, split.config, _variant_from(options))
+def _cmd_train(args) -> int:
+    split = load_split(args.split)
+    config = _train_config(args, split.config, LossVariant(args.variant, args.gamma))
     params, log = train(split, config)
-    save_checkpoint(params, out)
-    log_path = out + ".runlog.json"
+    save_checkpoint(params, args.out)
+    log_path = args.out + ".runlog.json"
     payload = {
         "variant": config.variant.kind.value,
         "gamma": config.variant.gamma,
@@ -196,46 +181,39 @@ def _cmd_train(options: _Options) -> int:
     Path(log_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                               encoding="utf-8")
     final = log.epochs[-1].train_accuracy if log.epochs else float("nan")
-    print(f"wrote {out} and {log_path} (final train accuracy {final:.4f})")
+    print(f"wrote {args.out} and {log_path} (final train accuracy {final:.4f})")
     return 0
 
 
-def _cmd_eval(options: _Options) -> int:
-    params = load_checkpoint(options.args.checkpoint)
-    split = load_split(options.args.split)
+def _cmd_eval(args) -> int:
+    params = load_checkpoint(args.checkpoint)
+    split = load_split(args.split)
     report = evaluate(params, split)
     payload = json.dumps({"format_version": REPORT_FORMAT_VERSION,
                           "report": report.to_dict()}, sort_keys=True, indent=2)
-    out = options.get("out", str, None)
-    if out is None:
+    if args.out is None:
         print(payload)
     else:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
-        print(f"wrote {out} (accuracy {report.overall_accuracy:.4f})")
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        print(f"wrote {args.out} (accuracy {report.overall_accuracy:.4f})")
     return 0
 
 
-def _cmd_sweep(options: _Options) -> int:
-    out = _require_out(options, "sweep")
-    gammas = options.get("gamma", lambda text: [float(g) for g in text.split(",") if g.strip()], [])
-    if not gammas:
+def _cmd_sweep(args) -> int:
+    if not args.gamma:
         raise ConfigError("sweep needs at least one --gamma (or gamma= in the config file)")
-    args = options.args
     splits = tuple(load_split(path) for path in (args.train_split, args.id_split, args.ood_split))
-    base = _train_config(options, splits[0].config, LossVariant.ce())  # each gamma replaces it
-    rows = sweep_gamma(gammas, base, splits)
-    fmt = options.get("format", str, "json")
-    emit_report(rows, out, format=fmt)
-    print(f"wrote {out} ({len(rows)} gamma rows, format {fmt})")
+    base = _train_config(args, splits[0].config, LossVariant.ce())  # each gamma replaces it
+    rows = sweep_gamma(args.gamma, base, splits)
+    emit_report(rows, args.out, format=args.format)
+    print(f"wrote {args.out} ({len(rows)} gamma rows, format {args.format})")
     return 0
 
 
-def _cmd_report(options: _Options) -> int:
-    out = _require_out(options, "report")
-    rows = load_report(options.args.report)
-    fmt = options.get("format", str, "csv")
-    emit_report(rows, out, format=fmt)
-    print(f"wrote {out} ({len(rows)} gamma rows, format {fmt})")
+def _cmd_report(args) -> int:
+    rows = load_report(args.report)
+    emit_report(rows, args.out, format=args.format)
+    print(f"wrote {args.out} ({len(rows)} gamma rows, format {args.format})")
     return 0
 
 
@@ -250,7 +228,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](_Options(args))
+        if args.config:  # file values become the flags' defaults, so explicit flags still win
+            flags = _flags(parser)[args.command]
+            for key, text in load_config_file(args.config).items():
+                if key in flags:
+                    flags[key].default = _read_value(key, flags[key], text)
+            args = parser.parse_args(argv)
+        if args.out is None and args.command != "eval":
+            raise ConfigError(f"{args.command} needs --out (or out= in the config file)")
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

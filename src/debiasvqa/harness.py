@@ -250,6 +250,8 @@ def evaluate(params: VqaModelParams, split: Split,
     dist = np.bincount(qtypes * a + preds, minlength=k * a).reshape(k, a) / counts[:, None]
 
     def kl_to(priors: PriorTable) -> np.ndarray:
+        if priors.table.shape != dist.shape:
+            raise ConfigError(f"prior table shape {priors.table.shape}, split has {dist.shape}")
         return np.array([kl_divergence(dist[qt], priors.row(qt)) for qt in range(k)])
 
     return EvalReport(
@@ -274,6 +276,10 @@ def sweep_gamma(gammas, base_config: TrainConfig,
     if not variants:
         raise ConfigError("gamma sweep needs at least one value")
     train_split, id_test, ood_test = splits
+    for role, test in (("in-distribution", id_test), ("shifted", ood_test)):  # and every shape
+        for dim in ("num_qtypes", "num_answers", "vocab_size", "v_in_dim"):
+            if (has := getattr(test.config, dim)) != (want := getattr(train_split.config, dim)):
+                raise ConfigError(f"the {role} test split has {dim} {has}, the train split has {want}")
     rows = []
     for variant in variants:
         params, _ = train(train_split, replace(base_config, variant=variant))

@@ -1,15 +1,18 @@
 """End-to-end CLI pipeline and exit-code contract."""
+import argparse
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from debiasvqa import BenchmarkConfig, NumericalError, harness, load_report
-from debiasvqa.cli import load_config_file, main
+from conftest import toy_benchmark_config
+from debiasvqa import BenchmarkConfig, NumericalError, cli, harness, load_report
+from debiasvqa.cli import build_parser, load_config_file, main
 from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
 from debiasvqa.model import load_checkpoint, save_checkpoint
+from debiasvqa.synthbench import make_benchmark, save_split
 
 
 @pytest.fixture(scope="module")
@@ -500,3 +503,130 @@ def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{bad}: line 3: not UTF-8 text" in err
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# one declaration per flag: a --config key reads as its subcommand's flag
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+FLAGS = {(command, a.option_strings[-1][2:]): a for command, p in SUBCOMMANDS.items()
+         for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _texts(action):
+    """A text the flag reads to a value other than its default, a second text it
+    reads, and one it cannot read (None when it reads any text)."""
+    if action.choices is not None:
+        first = next(c for c in action.choices if c != action.default)
+        return first, next(c for c in action.choices if c != first), "bogus"
+    return {int: ("7", "9", "1.5"), float: ("0.5", "0.25", "x"),
+            None: ("a.out", "b.out", None)}[action.type]
+
+
+def _argv(command, *args):
+    """``command`` with a placeholder for each positional, then ``args``."""
+    return [command, *(a.dest for a in SUBCOMMANDS[command]._actions if not a.option_strings),
+            *args]
+
+
+def _resolve(monkeypatch, command, key, flags, cfg=None):
+    """The arguments ``command`` runs with; the command itself is replaced."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+    out = [] if key == "out" else ["--out", "o"]
+    assert main(_argv(command, *flags, *out, *(["--config", str(cfg)] if cfg else []))) == 0
+    return {k: v for k, v in seen[0].items() if k != "config"}
+
+
+def _config(tmp_path, key, texts):
+    cfg = tmp_path / "flags.cfg"
+    cfg.write_text(f"{key} = {','.join(texts)}\n")
+    return cfg
+
+
+def _as_flags(key, texts):
+    return [arg for text in texts for arg in (f"--{key}", text)]
+
+
+@pytest.mark.parametrize("command, key", FLAGS)
+def test_config_value_resolves_as_its_flag(monkeypatch, tmp_path, command, key):
+    action = FLAGS[command, key]
+    first, second, _ = _texts(action)
+    texts = [first, second] if isinstance(action, cli._Repeat) else [first]  # a comma list
+    from_flags = _resolve(monkeypatch, command, key, _as_flags(key, texts))
+    assert from_flags[action.dest] != action.default
+    assert _resolve(monkeypatch, command, key, [], _config(tmp_path, key, texts)) == from_flags
+
+
+@pytest.mark.parametrize("command, key", FLAGS)
+def test_explicit_flag_beats_config_value(monkeypatch, tmp_path, command, key):
+    action = FLAGS[command, key]
+    first, second, _ = _texts(action)
+    file_texts = [first, first] if isinstance(action, cli._Repeat) else [first]
+    flag_only = _resolve(monkeypatch, command, key, _as_flags(key, [second]))
+    assert _resolve(monkeypatch, command, key, _as_flags(key, [second]),
+                    _config(tmp_path, key, file_texts)) == flag_only
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
+@pytest.mark.parametrize("command, key", [case for case, action in FLAGS.items()
+                                          if _texts(action)[2] is not None])
+def test_unreadable_config_value_exits_two_before_any_work(monkeypatch, tmp_path, capsys,
+                                                           command, key):
+    for name in ("load_split", "make_benchmark", "load_checkpoint", "load_report",
+                 "train", "sweep_gamma"):
+        monkeypatch.setattr(cli, name, _never)
+    monkeypatch.setattr(harness, "train", _never)
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, key, [_texts(FLAGS[command, key])[2]])
+    assert main(_argv(command, "--config", str(cfg), "--out", str(out))) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: " in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_variant_outside_choices_names_the_choices(tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("variant = bogus\n")
+    assert main(["train", "t.split", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == \
+        "error: config key 'variant': 'bogus' is not one of ce, lpf, focal, precomputed\n"
+
+
+@pytest.mark.parametrize("variant", ["ce", "focal", "precomputed"])
+def test_train_reads_gamma_for_every_variant(pipeline, tmp_path, capsys, variant):
+    """ce runs at gamma 0 and focal and precomputed at 1, but a gamma they
+    ignore must still be a readable, finite one."""
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("gamma = 0, 2.5\n")  # a sweep's list
+    split, out = str(pipeline / "train.split"), tmp_path / "m.ckpt"
+    for extra, message in ((["--gamma", "nan"], "gamma must be finite"),
+                           (["--config", str(cfg)], "config key 'gamma': ")):
+        assert main(["train", split, "--variant", variant, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_over_splits_of_another_shape_exits_two_before_training(tmp_path, monkeypatch,
+                                                                      capsys):
+    one_qtype = BenchmarkConfig(num_qtypes=1, answers_per_qtype=4, tokens_per_question=4,
+                                v_in_dim=4, n_train=64, n_test=32)  # same dims, one qtype
+    paths = [tmp_path / f"{name}.split" for name in ("train", "id_test", "ood_test")]
+    save_split(make_benchmark(one_qtype)[0], paths[0])
+    for split, path in zip(make_benchmark(toy_benchmark_config())[1:], paths[1:]):
+        save_split(split, path)
+    monkeypatch.setattr(harness, "train", _never)
+    out = tmp_path / "r.json"
+    assert main(["sweep", *map(str, paths), "--gamma", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the in-distribution test split has num_qtypes 2, the train split has 1" in err
+    assert err.count("\n") == 1
+    assert not out.exists()

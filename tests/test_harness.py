@@ -11,6 +11,7 @@ from conftest import toy_benchmark_config, toy_model_config
 from debiasvqa import (
     BenchmarkConfig,
     LossVariant,
+    PriorTable,
     Split,
     SweepRow,
     Tensor,
@@ -301,6 +302,14 @@ def test_evaluate_rejects_empty_and_missing_qtypes(toy):
         evaluate(params, rows(np.zeros(len(train_s), dtype=bool)))
     with pytest.raises(ValueError, match="question type 1"):
         evaluate(params, rows(train_s.qtypes == 0))
+
+
+@pytest.mark.parametrize("table", [[[0.25] * 4], [[0.5, 0.5]] * 2],
+                         ids=["fewer-qtypes", "fewer-answers"])
+def test_evaluate_rejects_train_priors_of_another_shape(toy, table):
+    _, _, id_s, _, mc = toy
+    with pytest.raises(ConfigError, match=r"prior table shape \(\d, \d\), split has \(2, 4\)"):
+        evaluate(init_params(mc), id_s, train_priors=PriorTable(table))
 
 
 @pytest.fixture(scope="module")

@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_benchmark_config
+from debiasvqa import cli, harness, init_params
 from debiasvqa.cli import main
+from debiasvqa.harness import RunLog
 from debiasvqa.synthbench import make_benchmark, save_split
 
-# small: all of this file runs in about a second
+# small: all of this file runs in about a second; a train or sweep run costs
+# about twice a report conversion, so those properties draw fewer examples
 REPORT_IO = settings(max_examples=100)
+TRAIN_IO = settings(max_examples=30)
 
 # what a corrupted number may read as: out of range, not finite, negative,
 # the wrong json type, or a count too large for float64 to hold exactly
@@ -82,3 +86,29 @@ def test_corrupted_config_is_applied_or_rejected_in_one_line(sweep_report, data)
     code, err = run_quietly(["report", str(root / "sweep.json"), "--config", str(bad),
                              "--out", str(root / "out")])  # a corrupted out= never writes
     assert code == 0 or (code == 2 and err.count("\n") == 1), err
+
+
+@TRAIN_IO
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_corrupted_config_trains_or_is_rejected_in_one_line(sweep_report, command, data):
+    """Every value is read before any work: a rejected file never reaches training.
+
+    Training is a stub because a corrupted file may ask for 2**70 epochs.
+    """
+    root, _ = sweep_report
+    blob = CONFIG if command == "sweep" else CONFIG.replace(b"0, 2.5", b"2.5")  # train: one gamma
+    bad = root / "bad.cfg"
+    bad.write_bytes(data.draw(corruptions(blob), label="config"))
+    splits = [str(root / f"{name}.split") for name in ("train", "id_test", "ood_test")]
+    calls = []
+
+    def stub(split, config, record_hook=None):
+        calls.append(config)
+        return init_params(config.model), RunLog()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "train", stub)
+        patch.setattr(harness, "train", stub)
+        code, err = run_quietly([command, *(splits if command == "sweep" else splits[:1]),
+                                 "--config", str(bad), "--out", str(root / "out")])
+    assert code == 0 or (code == 2 and err.count("\n") == 1 and not calls), err
