@@ -270,7 +270,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, parts=None) -> Tens
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (batch,):
         raise ShapeError(f"weights shape {w.shape} does not match batch ({batch},)")
-    if w.size and (w.min() < 0.0 or w.max() > 1.0):
+    if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
         raise ValueError(f"weights must lie in [0, 1], got range [{w.min()}, {w.max()}]")
 
     probs, logp = softmax_parts(logits.data) if parts is None else parts
@@ -303,7 +303,7 @@ def adam_step(params: Iterable[Parameter], lr: float) -> None:
     at once.  Gradients are left untouched; the caller zeroes them after
     the step.
     """
-    if lr <= 0.0:
+    if not lr > 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for p in params:

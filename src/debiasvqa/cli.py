@@ -107,13 +107,12 @@ def _flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Acti
             for name, p in subcommands.choices.items()}
 
 
-def load_config_file(path) -> dict[str, str]:
+def load_config_file(path, keys) -> dict[str, str]:
     """Parse ``key=value`` lines; '#' comments and blank lines allowed.
 
-    A key that is no subcommand's flag is an error, so one file can
-    drive several subcommands but a misspelt key is never ignored.
+    A key not in ``keys`` (every subcommand's flags) is an error, so one
+    file can drive several subcommands but a misspelt key is never ignored.
     """
-    keys = set().union(*_flags(build_parser()).values())
     values: dict[str, str] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,8 +228,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         if args.config:  # file values become the flags' defaults, so explicit flags still win
-            flags = _flags(parser)[args.command]
-            for key, text in load_config_file(args.config).items():
+            every = _flags(parser)
+            flags = every[args.command]
+            for key, text in load_config_file(args.config, set().union(*every.values())).items():
                 if key in flags:
                     flags[key].default = _read_value(key, flags[key], text)
             args = parser.parse_args(argv)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the text reader that raises one."""
+"""Exception types shared across the package, the text reader that raises one,
+and the one type and bound check of every config dataclass's fields."""
+import sys
+from dataclasses import MISSING, field, fields
 from pathlib import Path
 
 
@@ -25,3 +28,25 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def bounded(low, default=MISSING, above=False):
+    """A dataclass field that :func:`check_fields` holds at least ``low``, or past it if ``above``."""
+    return field(default=default, metadata={"low": low, "above": above})
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError unless each field annotated ``int`` holds an int, each
+    ``float`` field a finite int or float (neither ever a bool), and each
+    :func:`bounded` field its bound.  Annotations are read as text, so the
+    config's module uses ``from __future__ import annotations``."""
+    for f in fields(config):
+        value, low, above = getattr(config, f.name), f.metadata.get("low"), f.metadata.get("above")
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN fails every comparison
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if low is not None and not (value > low if above else value >= low):
+            raise ConfigError(f"{f.name} must be {'>' if above else '>='} {low:g}, got {value}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autodiff import Tensor, adam_step, zero_grad
-from .errors import ConfigError, DataFormatError, NumericalError, read_text
+from .errors import ConfigError, DataFormatError, NumericalError, bounded, check_fields, read_text
 from .model import (
     ModelConfig,
     VqaModelParams,
@@ -51,18 +51,13 @@ REPORT_CSV_COLUMNS = (
 class TrainConfig:
     variant: LossVariant
     model: ModelConfig
-    lr: float = 3e-4
-    batch_size: int = 256
-    epochs: int = 21
+    lr: float = bounded(0.0, 3e-4, above=True)
+    batch_size: int = bounded(1, 256)
+    epochs: int = bounded(0, 21)
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        check_fields(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .autodiff import Parameter, Tensor, embedding_mean, flat_parameters, linear, multiply, relu
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError, bounded, check_fields
 
 _CHECKPOINT_MAGIC = b"DBVQCKPT"
 _CHECKPOINT_VERSION = 1
@@ -33,25 +33,18 @@ class ModelConfig:
     tight: with capacity to spare the main path just learns the visual
     mapping outright and no loss reweighting is ever needed.
     """
-    vocab_size: int
-    num_answers: int
-    embed_dim: int = 16
-    q_dim: int = 16
-    v_in_dim: int = 16
-    v_dim: int = 8
-    hidden_dim: int = 24
-    qo_hidden_dim: int = 64
+    vocab_size: int = bounded(1)
+    num_answers: int = bounded(2)
+    embed_dim: int = bounded(1, 16)
+    q_dim: int = bounded(1, 16)
+    v_in_dim: int = bounded(1, 16)
+    v_dim: int = bounded(1, 8)
+    hidden_dim: int = bounded(1, 24)
+    qo_hidden_dim: int = bounded(1, 64)
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:  # bool and float are not dimensions
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if value <= 0 and f.name != "seed":
-                raise ConfigError(f"{f.name} must be positive, got {value}")
-        if self.num_answers < 2:
-            raise ConfigError(f"num_answers must be at least 2, got {self.num_answers}")
+        check_fields(self)
 
 
 class VqaModelParams:

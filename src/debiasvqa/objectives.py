@@ -28,7 +28,7 @@ from .autodiff import (
     softmax_parts,
     weighted_cross_entropy,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, bounded, check_fields
 
 
 class VariantKind(str, Enum):
@@ -47,14 +47,13 @@ class LossVariant:
     only the feedback variant sweeps it.
     """
     kind: VariantKind
-    gamma: float = 0.0
+    gamma: float = bounded(0.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in tuple(VariantKind):
             raise ConfigError(f"unknown loss variant {self.kind!r}, choose from {', '.join(VariantKind)}")
         object.__setattr__(self, "kind", VariantKind(self.kind))
-        if not 0.0 <= self.gamma < np.inf:
-            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        check_fields(self)
         if self.kind != VariantKind.LPF:
             object.__setattr__(self, "gamma", 0.0 if self.kind == VariantKind.CE else 1.0)
 
@@ -82,8 +81,8 @@ class PriorTable:
         t = np.asarray(table, dtype=np.float64)
         if t.ndim != 2:
             raise ShapeError(f"prior table must be 2-D, got shape {t.shape}")
-        if t.size and t.min() < 0.0:
-            raise ValueError("prior table has negative entries")
+        if t.size and not t.min() >= 0.0:
+            raise ValueError("prior table has negative or NaN entries")
         sums = t.sum(axis=1)
         if t.size and np.abs(sums - 1.0).max() > 1e-9:
             worst = int(np.abs(sums - 1.0).argmax())
@@ -133,10 +132,10 @@ def alpha_from_qo(logits_qo, targets, parts=None) -> np.ndarray:
 
 def beta(alpha, gamma: float):
     """Modulating weight (1 - alpha)^gamma; 1 when gamma is 0."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     a = np.asarray(alpha, dtype=np.float64)
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got range [{a.min()}, {a.max()}]")
     out = np.power(1.0 - a, gamma)
     return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out

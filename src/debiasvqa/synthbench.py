@@ -15,11 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, read_text
+from .errors import ConfigError, DataFormatError, bounded, check_fields, read_text
 from .objectives import PriorTable
 from .rng import gaussian, mix_seed, uniform_stream
 
@@ -28,43 +28,28 @@ SPLIT_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    num_qtypes: int = 8
-    answers_per_qtype: int = 5
-    tokens_per_question: int = 4
-    v_in_dim: int = 16
+    num_qtypes: int = bounded(1, 8)
+    answers_per_qtype: int = bounded(2, 5)
+    tokens_per_question: int = bounded(1, 4)
+    v_in_dim: int = bounded(1, 16)
     prototype_scale: float = 1.0
-    noise_std: float = 0.1
-    zipf_s: float = 1.5
+    noise_std: float = bounded(0.0, 0.1)
+    zipf_s: float = bounded(0.0, 1.5, above=True)
     n_train: int = 8000
     n_test: int = 4000
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        if self.num_qtypes < 1:
-            raise ConfigError(f"num_qtypes must be >= 1, got {self.num_qtypes}")
-        if self.answers_per_qtype < 2:
-            raise ConfigError(f"answers_per_qtype must be >= 2, got {self.answers_per_qtype}")
-        if self.tokens_per_question < 1:
-            raise ConfigError(f"tokens_per_question must be >= 1, got {self.tokens_per_question}")
-        if self.v_in_dim < 1:
-            raise ConfigError(f"v_in_dim must be >= 1, got {self.v_in_dim}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        check_fields(self)
         # keep cells separable so the benchmark stays solvable from vision
         if self.noise_std >= self.prototype_scale / 4.0:
             raise ConfigError(
                 f"noise_std {self.noise_std} too large for prototype_scale "
                 f"{self.prototype_scale} (needs noise_std < scale/4)")
-        if self.zipf_s <= 0.0:
-            raise ConfigError(f"zipf_s must be > 0, got {self.zipf_s}")
         cells = self.num_qtypes * self.answers_per_qtype
-        if self.n_train < cells:
-            raise ConfigError(f"n_train {self.n_train} < number of cells {cells}")
-        if self.n_test < cells:
-            raise ConfigError(f"n_test {self.n_test} < number of cells {cells}")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < cells:
+                raise ConfigError(f"{name} {getattr(self, name)} < number of cells {cells}")
 
     @property
     def num_answers(self) -> int:

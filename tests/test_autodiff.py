@@ -200,6 +200,8 @@ def test_weighted_ce_target_out_of_range():
 def test_weighted_ce_weight_out_of_range():
     with pytest.raises(ValueError):
         weighted_cross_entropy(Tensor(np.zeros((1, 3))), [0], np.array([1.5]))
+    with pytest.raises(ValueError):
+        weighted_cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], np.array([0.5, np.nan]))
 
 
 def test_weighted_ce_gradient_matches_finite_differences():
@@ -381,6 +383,8 @@ def test_adam_two_steps_match_reference_recurrence():
 def test_adam_rejects_bad_lr():
     with pytest.raises(ValueError):
         adam_step([Parameter([1.0])], lr=0.0)
+    with pytest.raises(ValueError):
+        adam_step([Parameter([1.0])], lr=np.nan)
 
 
 def test_flat_adam_matches_per_tensor_recurrence_bitwise():

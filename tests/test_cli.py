@@ -1,7 +1,9 @@
 """End-to-end CLI pipeline and exit-code contract."""
 import argparse
 import json
+import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
 from debiasvqa.model import load_checkpoint, save_checkpoint
 from debiasvqa.synthbench import make_benchmark, save_split
+
+CONFIG_KEYS = set().union(*cli._flags(build_parser()).values())  # every subcommand's flags
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +163,28 @@ def test_wrong_size_prior_table_exits_two(pipeline, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "prior table shape (7, 40), expected (8, 40)" in err
+    assert err.count("\n") == 1
+
+
+def test_nan_prior_table_exits_two(pipeline, tmp_path, capsys):
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split",
+                         edit_header=lambda h: h["priors"][3].__setitem__(0, "nan"))
+    assert main(["eval", str(pipeline / "model.ckpt"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: bad prior table: prior table has negative or NaN entries" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("noise_std", math.nan), ("zipf_s", math.inf),
+                                        ("prototype_scale", math.inf)])
+def test_non_finite_header_config_exits_two(pipeline, tmp_path, capsys, key, value):
+    def corrupt(header):  # refit the fingerprint without building the config it refuses
+        header["config"][key] = value
+        header["fingerprint"] = BenchmarkConfig.fingerprint(SimpleNamespace(**header["config"]))
+    bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split", edit_header=corrupt)
+    assert main(["eval", str(pipeline / "model.ckpt"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1: bad config: {key} must be finite, got {value}" in err
     assert err.count("\n") == 1
 
 
@@ -398,14 +424,14 @@ def test_overflowing_forward_pass_exits_three(pipeline, tmp_path, capsys):
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\n\nepochs = 3\nvariant=lpf  # inline\ngamma=2.5\n")
-    assert load_config_file(cfg) == {"epochs": "3", "variant": "lpf", "gamma": "2.5"}
+    assert load_config_file(cfg, CONFIG_KEYS) == {"epochs": "3", "variant": "lpf", "gamma": "2.5"}
 
 
 def test_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs\n")
     with pytest.raises(DataFormatError, match="line 1"):
-        load_config_file(cfg)
+        load_config_file(cfg, CONFIG_KEYS)
 
 
 def test_config_file_drives_training(pipeline, tmp_path):

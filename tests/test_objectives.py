@@ -91,6 +91,8 @@ def test_prior_table_rejects_negative_and_unnormalized():
         PriorTable([[-0.1, 1.1]])
     with pytest.raises(ValueError):
         PriorTable([[0.6, 0.5]])
+    with pytest.raises(ValueError, match="negative or NaN"):
+        PriorTable([[np.nan, 1.0]])
 
 
 def test_prior_table_missing_row_rejected():
@@ -154,6 +156,10 @@ def test_beta_rejects_out_of_range():
         beta(-0.1, 1.0)
     with pytest.raises(ValueError):
         beta(0.5, -1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        beta(np.array([0.5, np.nan]), 1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        beta(0.5, np.nan)
 
 
 def test_beta_monotone_in_alpha():
