@@ -37,16 +37,20 @@ def bounded(low, default=MISSING, above=False):
 
 def check_fields(config) -> None:
     """Raise ConfigError unless each field annotated ``int`` holds an int, each
-    ``float`` field a finite int or float (neither ever a bool), and each
-    :func:`bounded` field its bound.  Annotations are read as text, so the
-    config's module uses ``from __future__ import annotations``."""
+    ``float`` field a finite int or float (never a bool; kept as a float), each
+    other field an instance of the class it names, and each :func:`bounded`
+    field its bound.  Annotations are text: use ``from __future__ import annotations``."""
     for f in fields(config):
         value, low, above = getattr(config, f.name), f.metadata.get("low"), f.metadata.get("above")
+        if f.type not in ("int", "float") and f.type not in (c.__name__ for c in type(value).__mro__):
+            raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
         if f.type == "int" and type(value) is not int:
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{f.name} must be a number, got {value!r}")
         if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN fails every comparison
             raise ConfigError(f"{f.name} must be finite, got {value}")
+        if f.type == "float":  # so equal configs print, and fingerprint, alike
+            object.__setattr__(config, f.name, value := float(value))
         if low is not None and not (value > low if above else value >= low):
             raise ConfigError(f"{f.name} must be {'>' if above else '>='} {low:g}, got {value}")

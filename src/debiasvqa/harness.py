@@ -36,6 +36,8 @@ from .synthbench import Split
 
 REPORT_FORMAT_VERSION = 1
 
+EVAL_BLOCK_ROWS = 1024  # rows per evaluate forward: small enough for the allocator to reuse its pages
+
 # fixed column order of the comma-separated report format
 REPORT_CSV_COLUMNS = (
     "gamma",
@@ -230,12 +232,14 @@ def evaluate(params: VqaModelParams, split: Split,
         raise ValueError("cannot evaluate on an empty split")
     check_compatible(split, params.config)
     frozen = {name: params[name].detach() for name in params.names()}  # no op keeps a graph
+    preds = np.empty(len(split), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite parameters overflow
-        q = encode_question(split.tokens, frozen)
-        logits = predict_vqa(encode_visual(split.features, frozen), q, frozen).data
-    if not np.isfinite(logits).all():
-        raise NumericalError("the forward pass gives non-finite logits")
-    preds = logits.argmax(axis=1)
+        for rows in (slice(i, i + EVAL_BLOCK_ROWS) for i in range(0, len(split), EVAL_BLOCK_ROWS)):
+            q = encode_question(split.tokens[rows], frozen)
+            logits = predict_vqa(encode_visual(split.features[rows], frozen), q, frozen).data
+            if not np.isfinite(logits).all():
+                raise NumericalError("the forward pass gives non-finite logits")
+            preds[rows] = logits.argmax(axis=1)
     answers = split.answers
     k, a, qtypes = split.num_qtypes, split.num_answers, split.qtypes
     counts = np.bincount(qtypes, minlength=k)

@@ -197,8 +197,10 @@ def build_prior_table(split) -> PriorTable:
     """
     if len(split.answers) == 0:
         raise ValueError("cannot build a prior table from an empty split")
-    counts = np.zeros((split.num_qtypes, split.num_answers))
-    np.add.at(counts, (split.qtypes, split.answers), 1.0)
+    k, a = split.num_qtypes, split.num_answers
+    if not (split.answers.min() >= 0 and split.answers.max() < a):  # else it counts in another row
+        raise ValueError(f"answer ids must lie in [0, {a})")
+    counts = np.bincount(split.qtypes * a + split.answers, minlength=k * a).reshape(k, a)
     totals = counts.sum(axis=1)
     if (totals == 0).any():
         missing = int(np.argmin(totals))

@@ -142,11 +142,9 @@ def _largest_remainder(prior_row: np.ndarray, n: int) -> np.ndarray:
     """Integer counts summing to n, proportional to prior_row, exact."""
     raw = prior_row * n
     counts = np.floor(raw).astype(np.int64)
-    short = n - int(counts.sum())
-    # ties broken toward lower answer ids for cross-run stability
-    order = sorted(range(len(raw)), key=lambda a: (-(raw[a] - counts[a]), a))
-    for a in order[:short]:
-        counts[a] += 1
+    # largest remainder first, ties broken toward lower answer ids for cross-run stability
+    order = np.lexsort((np.arange(len(raw)), counts - raw))
+    counts[order[:n - int(counts.sum())]] += 1
     return counts
 
 
@@ -166,39 +164,31 @@ def generate_split(priors: PriorTable, n: int, role: str,
     canonical (qtype, answer) order from a role-specific stream, then the
     sample order is shuffled with the same stream.
     """
-    k = config.num_qtypes
-    if n < k * config.answers_per_qtype:
+    k, m, d = config.num_qtypes, config.answers_per_qtype, config.v_in_dim
+    if n < k * m:
         raise ConfigError(f"n={n} below the number of (qtype, answer) cells")
     if priors.num_qtypes != k or priors.num_answers != config.num_answers:
         raise ConfigError(
             f"prior table shape {priors.table.shape} does not match config "
             f"({k} qtypes, {config.num_answers} answers)")
+    stray = (priors.table > 0) & (np.arange(config.num_answers) // m != np.arange(k)[:, None])
+    if stray.any():
+        raise ConfigError(f"prior row of question type {int(stray.any(axis=1).argmax())} "
+                          "puts mass outside its answer block")
     per_qtype = np.full(k, n // k, dtype=np.int64)
     per_qtype[: n % k] += 1
-    protos = cell_prototypes(config)
-    seed = mix_seed(config.seed, "split", role,
-                    priors.table.tobytes().hex(), n)
-    gen = uniform_stream(seed)
-    blocks, qtypes, answers = [], [], []
-    for q in range(k):
-        block = answer_block(q, config)
-        counts = _largest_remainder(priors.row(q), int(per_qtype[q]))
-        for a_global in block:
-            c = int(counts[a_global])
-            if c == 0:
-                continue
-            noise = gaussian(gen, (c, config.v_in_dim))
-            blocks.append(protos[q, a_global - block.start] * config.prototype_scale
-                          + noise * config.noise_std)
-            qtypes += [q] * c
-            answers += [a_global] * c
+    counts = np.concatenate([_largest_remainder(priors.row(q), int(per_qtype[q]))[q * m:(q + 1) * m]
+                             for q in range(k)])
+    gen = uniform_stream(mix_seed(config.seed, "split", role, priors.table.tobytes().hex(), n))
+    features = np.concatenate([gaussian(gen, (c, d)) for c in counts if c])
+    answers = np.repeat(np.arange(config.num_answers), counts)
+    features *= config.noise_std
+    features += (cell_prototypes(config) * config.prototype_scale).reshape(-1, d)[answers]
     order = gen.permutation(len(answers))
-    qtypes = np.array(qtypes, dtype=np.int64)[order]
-    return Split(qtypes=qtypes,
-                 tokens=_templates(qtypes, config),
-                 answers=np.array(answers, dtype=np.int64)[order],
-                 features=np.concatenate(blocks)[order],
-                 priors=priors, role=role, config=config)
+    answers = answers[order]
+    qtypes = answers // m
+    return Split(qtypes=qtypes, tokens=_templates(qtypes, config), answers=answers,
+                 features=features[order], priors=priors, role=role, config=config)
 
 
 def make_benchmark(config: BenchmarkConfig) -> tuple[Split, Split, Split]:

@@ -26,6 +26,7 @@ from debiasvqa import (
     load_report,
     make_benchmark,
     save_checkpoint,
+    save_split,
     sweep_gamma,
     train,
     zero_grad,
@@ -333,18 +334,20 @@ def test_evaluate_scores_the_training_forward_pass_without_a_graph(default_shift
     monkeypatch.setattr(harness, "predict_vqa", spy)
     evaluate(params, ood_s)
     monkeypatch.undo()
-    (logits,) = seen
-    assert np.array_equal(logits.data, forward_batch(params, ood_s.tokens, ood_s.features)[0].data)
-    assert not logits.requires_grad and logits._parents == ()
+    assert [len(logits.data) for logits in seen] == [1024, 1024, 1024, 928]
+    whole = forward_batch(params, ood_s.tokens, ood_s.features)[0].data
+    assert np.array_equal(np.concatenate([logits.data for logits in seen]), whole)
+    assert all(not logits.requires_grad and logits._parents == () for logits in seen)
     for p in params.all_parameters():
         assert not p.grad.any(), p.name
 
 
 # Traced peaks on the default shifted split: evaluate holds the live
-# intermediates of one forward pass (about 3.65 MB; 8.1 MB while it kept
-# the autodiff graph), and embedding_mean its [B, E] output plus one
-# [B, E] row gather (a [B, T, E] gather would be T + 1 outputs).
-EVALUATE_PEAK_BYTES = 3_900_000
+# intermediates of one 1024-row forward block plus the [N] predictions
+# (about 1.35 MB; a whole-split forward would hold about 3.65 MB), and
+# embedding_mean its [B, E] output plus one [B, E] row gather (a
+# [B, T, E] gather would be T + 1 outputs).
+EVALUATE_PEAK_BYTES = 1_400_000
 
 
 def _traced_peak(fn, *args):
@@ -532,6 +535,27 @@ def test_gen_matches_pinned_split_digests(tmp_path, capsys):
     assert main(["gen", "--seed", "0", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     for name, pinned in PINNED_SPLITS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned, name
+
+
+# SHA-256 of the three split files of a 40-sample default benchmark: 5
+# samples per question type over 5 answers leave 16 of the 40 cells empty
+# in each split.  Recorded while generate_split still built its columns
+# from per-cell Python lists.
+PINNED_SMALL_SPLITS = {
+    "train": "fae26621ca086930daa93f6e294ffc5f9406f676cf50289e3aeaca4046f05274",
+    "id_test": "ab903475ab828b9630b3e096379d8a44913af50190accad7582e03e512d04ed3",
+    "ood_test": "7bcd6641f5b4dd2a5dac97cf678a9767306c6a9d0f6b964616a08bbd905c83c9",
+}
+
+
+@pytest.mark.skipif(_numpy_build() != PINNED_BUILD,
+                    reason=f"numpy/BLAS build {_numpy_build()} differs from the pinned {PINNED_BUILD}")
+def test_small_benchmark_with_empty_cells_matches_pinned_digests(tmp_path):
+    splits = make_benchmark(BenchmarkConfig(n_train=40, n_test=40, seed=0))
+    for (name, pinned), split in zip(PINNED_SMALL_SPLITS.items(), splits):
+        assert (np.bincount(split.answers, minlength=split.num_answers) == 0).sum() == 16, name
+        save_split(split, tmp_path / name)
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned, name
 
 

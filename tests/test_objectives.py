@@ -343,6 +343,13 @@ def test_build_prior_table_empty_rejected():
         build_prior_table(FakeSplit(empty, empty, 1, 2))
 
 
+@pytest.mark.parametrize("qtypes, answers", [([0, 1], [2, 0]), ([0, 1], [0, -1])],
+                         ids=["past-the-last", "negative"])
+def test_build_prior_table_rejects_answer_ids_outside_the_vocabulary(qtypes, answers):
+    with pytest.raises(ValueError, match=r"answer ids must lie in \[0, 2\)"):
+        build_prior_table(FakeSplit(np.array(qtypes), np.array(answers), 2, 2))
+
+
 def test_build_prior_table_missing_qtype_rejected():
     with pytest.raises(ValueError):
         build_prior_table(FakeSplit(np.array([0]), np.array([0]), 2, 2))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_benchmark_config
 from debiasvqa import (
@@ -146,6 +148,28 @@ def test_largest_remainder_sums_to_n():
         assert np.abs(counts - row * n).max() < 1.0
 
 
+def _largest_remainder_by_rule(row, n):
+    """The documented rule: floor, then one more to each of the largest
+    remainders, ties toward the lower answer id."""
+    raw = row * n
+    counts = np.floor(raw).astype(np.int64)
+    order = sorted(range(len(raw)), key=lambda a: (-(raw[a] - counts[a]), a))
+    for a in order[:n - int(counts.sum())]:
+        counts[a] += 1
+    return counts
+
+
+# small integer weights give exact ties and zeros among the remainders
+@settings(max_examples=300)
+@given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+       n=st.integers(0, 1000))
+def test_largest_remainder_follows_the_rule(weights, n):
+    row = np.array(weights, dtype=np.float64) / sum(weights)
+    counts = _largest_remainder(row, n)
+    assert counts.dtype == np.int64 and counts.sum() == n
+    assert np.array_equal(counts, _largest_remainder_by_rule(row, n))
+
+
 def test_integral_counts_recover_priors():
     # 22 per qtype with masses {6,3,2}/11 gives integer cell counts
     cfg = small_config()
@@ -227,6 +251,18 @@ def test_generate_split_rejects_mismatched_priors():
     bad = PriorTable(np.full((3, 3), 1 / 3))
     with pytest.raises(ConfigError):
         generate_split(bad, cfg.n_train, "train", cfg)
+
+
+def test_generate_split_rejects_prior_mass_outside_the_answer_block():
+    cfg = BenchmarkConfig()
+    uniform = PriorTable(np.full((cfg.num_qtypes, cfg.num_answers), 1 / cfg.num_answers))
+    with pytest.raises(ConfigError, match="question type 0 puts mass outside its answer block"):
+        generate_split(uniform, 8000, "test", cfg)
+    cfg = small_config()
+    table = build_priors(cfg)[0].table.copy()
+    table[1] = [0.5, 0.0, 0.0, 0.5, 0.0, 0.0]
+    with pytest.raises(ConfigError, match="question type 1 puts mass outside"):
+        generate_split(PriorTable(table), cfg.n_train, "train", cfg)
 
 
 def test_generate_split_rejects_tiny_n():
