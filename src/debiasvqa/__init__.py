@@ -42,7 +42,6 @@ from .model import (
 from .objectives import (
     BatchLossRecord,
     LossVariant,
-    PriorTable,
     VariantKind,
     alpha_from_qo,
     batch_objective,
@@ -55,6 +54,7 @@ from .objectives import (
 )
 from .synthbench import (
     BenchmarkConfig,
+    PriorTable,
     Split,
     answer_block,
     bayes_qo_accuracy,

@@ -24,15 +24,9 @@ from .model import (
     predict_qo,
     predict_vqa,
 )
-from .objectives import (
-    LossVariant,
-    PriorTable,
-    VariantKind,
-    batch_objective,
-    build_prior_table,
-)
+from .objectives import LossVariant, VariantKind, batch_objective, build_prior_table
 from .rng import mix_seed, uniform_stream
-from .synthbench import Split
+from .synthbench import PriorTable, Split
 
 REPORT_FORMAT_VERSION = 1
 

@@ -29,6 +29,7 @@ from .autodiff import (
     weighted_cross_entropy,
 )
 from .errors import ConfigError, ShapeError, bounded, check_fields
+from .synthbench import PriorTable
 
 
 class VariantKind(str, Enum):
@@ -72,38 +73,6 @@ class LossVariant:
     @classmethod
     def precomputed(cls) -> "LossVariant":
         return cls(VariantKind.PRECOMPUTED, 1.0)
-
-
-class PriorTable:
-    """Per-question-type probability rows over the full answer vocabulary."""
-
-    def __init__(self, table: np.ndarray):
-        t = np.asarray(table, dtype=np.float64)
-        if t.ndim != 2:
-            raise ShapeError(f"prior table must be 2-D, got shape {t.shape}")
-        if t.size and not t.min() >= 0.0:
-            raise ValueError("prior table has negative or NaN entries")
-        sums = t.sum(axis=1)
-        if t.size and np.abs(sums - 1.0).max() > 1e-9:
-            worst = int(np.abs(sums - 1.0).argmax())
-            raise ValueError(f"prior row {worst} sums to {sums[worst]}, not 1")
-        self.table = t
-
-    @property
-    def num_qtypes(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def num_answers(self) -> int:
-        return self.table.shape[1]
-
-    def row(self, qtype_id: int) -> np.ndarray:
-        if not 0 <= qtype_id < self.num_qtypes:
-            raise KeyError(f"no prior row for question type {qtype_id} (have {self.num_qtypes})")
-        return self.table[qtype_id]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PriorTable) and np.array_equal(self.table, other.table)
 
 
 @dataclass

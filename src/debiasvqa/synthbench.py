@@ -15,12 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, bounded, check_fields, read_text
-from .objectives import PriorTable
+from .errors import ConfigError, DataFormatError, ShapeError, bounded, check_fields, read_text
 from .rng import gaussian, mix_seed, uniform_stream
 
 SPLIT_FORMAT_VERSION = 1
@@ -64,26 +63,73 @@ class BenchmarkConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+class PriorTable:
+    """Per-question-type probability rows over the full answer vocabulary."""
+
+    def __init__(self, table: np.ndarray):
+        t = np.asarray(table, dtype=np.float64)
+        if t.ndim != 2:
+            raise ShapeError(f"prior table must be 2-D, got shape {t.shape}")
+        if t.size and not t.min() >= 0.0:
+            raise ValueError("prior table has negative or NaN entries")
+        sums = t.sum(axis=1)
+        if t.size and np.abs(sums - 1.0).max() > 1e-9:
+            worst = int(np.abs(sums - 1.0).argmax())
+            raise ValueError(f"prior row {worst} sums to {sums[worst]}, not 1")
+        self.table = t
+
+    @property
+    def num_qtypes(self) -> int:
+        return self.table.shape[0]
+
+    @property
+    def num_answers(self) -> int:
+        return self.table.shape[1]
+
+    def row(self, qtype_id: int) -> np.ndarray:
+        if not 0 <= qtype_id < self.num_qtypes:
+            raise KeyError(f"no prior row for question type {qtype_id} (have {self.num_qtypes})")
+        return self.table[qtype_id]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PriorTable) and np.array_equal(self.table, other.table)
+
+
+def _check_priors(priors: PriorTable, config: BenchmarkConfig) -> None:
+    """Raise ConfigError unless the table has one row per question type over
+    every answer, and each row keeps its mass in its type's answer block."""
+    k, a = config.num_qtypes, config.num_answers
+    if priors.table.shape != (k, a):
+        raise ConfigError(f"prior table shape {priors.table.shape}, expected ({k}, {a})")
+    stray = (priors.table > 0) & (np.arange(a) // config.answers_per_qtype != np.arange(k)[:, None])
+    if stray.any():
+        raise ConfigError(f"prior row of question type {int(stray.any(axis=1).argmax())} "
+                          "puts mass outside its answer block")
+
+
 @dataclass(eq=False)
 class Split:
-    """A split as four row-aligned columns over its N samples.
+    """A split as row-aligned columns over its N samples.
 
-    ``qtypes`` [N] and ``answers`` [N] are int64 ids, ``tokens`` [N, T]
-    holds each row's question template (int64), and ``features``
-    [N, v_in_dim] the float64 visual features.  Row i of every column is
-    sample i.
+    ``answers`` [N] holds int64 answer ids and ``features`` [N, v_in_dim]
+    the float64 visual features.  ``qtypes`` [N] (``answers //
+    answers_per_qtype``) and ``tokens`` [N, T] (each row's question
+    template) follow from the answers.  Row i of every column is sample i.
     """
-    qtypes: np.ndarray
-    tokens: np.ndarray
     answers: np.ndarray
     features: np.ndarray
     priors: PriorTable
     role: str
     config: BenchmarkConfig
+    qtypes: np.ndarray = field(init=False, repr=False)
+    tokens: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.role not in ("train", "test"):
             raise ConfigError(f"role must be 'train' or 'test', got {self.role!r}")
+        _check_priors(self.priors, self.config)
+        self.qtypes = self.answers // self.config.answers_per_qtype
+        self.tokens = _templates(self.qtypes, self.config)
 
     @property
     def num_qtypes(self) -> int:
@@ -164,17 +210,10 @@ def generate_split(priors: PriorTable, n: int, role: str,
     canonical (qtype, answer) order from a role-specific stream, then the
     sample order is shuffled with the same stream.
     """
+    _check_priors(priors, config)  # before any draw; Split checks the same table again
     k, m, d = config.num_qtypes, config.answers_per_qtype, config.v_in_dim
     if n < k * m:
         raise ConfigError(f"n={n} below the number of (qtype, answer) cells")
-    if priors.num_qtypes != k or priors.num_answers != config.num_answers:
-        raise ConfigError(
-            f"prior table shape {priors.table.shape} does not match config "
-            f"({k} qtypes, {config.num_answers} answers)")
-    stray = (priors.table > 0) & (np.arange(config.num_answers) // m != np.arange(k)[:, None])
-    if stray.any():
-        raise ConfigError(f"prior row of question type {int(stray.any(axis=1).argmax())} "
-                          "puts mass outside its answer block")
     per_qtype = np.full(k, n // k, dtype=np.int64)
     per_qtype[: n % k] += 1
     counts = np.concatenate([_largest_remainder(priors.row(q), int(per_qtype[q]))[q * m:(q + 1) * m]
@@ -185,10 +224,7 @@ def generate_split(priors: PriorTable, n: int, role: str,
     features *= config.noise_std
     features += (cell_prototypes(config) * config.prototype_scale).reshape(-1, d)[answers]
     order = gen.permutation(len(answers))
-    answers = answers[order]
-    qtypes = answers // m
-    return Split(qtypes=qtypes, tokens=_templates(qtypes, config), answers=answers,
-                 features=features[order], priors=priors, role=role, config=config)
+    return Split(answers[order], features[order], priors, role, config)
 
 
 def make_benchmark(config: BenchmarkConfig) -> tuple[Split, Split, Split]:
@@ -208,8 +244,9 @@ def save_split(split: Split, path) -> None:
     """Line-oriented text format: JSON header, then one sample per line.
 
     Reals use 17 significant digits so the round-trip is bitwise exact.
-    Rows are formatted 128 per ``%`` (256 or 512 raised peak memory in a
-    gen-then-eval loop); ``%d`` prints the integer-valued float64 ids exactly.
+    Rows are stacked from the columns and formatted 128 at a time (256 or
+    512 raised peak memory in a gen-then-eval loop); ``%d`` prints the
+    integer-valued float64 ids exactly.
     """
     header = {
         "format_version": SPLIT_FORMAT_VERSION,
@@ -220,11 +257,11 @@ def save_split(split: Split, path) -> None:
     }
     t, d = split.config.tokens_per_question, split.config.v_in_dim
     row = " ".join(["%d"] * (t + 2) + ["%.17g"] * d) + "\n"
-    table = np.column_stack([split.qtypes, split.tokens, split.answers, split.features])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for start in range(0, len(table), 128):
-            block = table[start:start + 128]
+        for start in range(0, len(split), 128):
+            block = np.column_stack([column[start:start + 128] for column in (
+                split.qtypes, split.tokens, split.answers, split.features)])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -269,7 +306,7 @@ def load_split(path) -> Split:
     """Read a split written by :func:`save_split`.
 
     Raises DataFormatError naming the first bad line for a malformed
-    header or row, a header fingerprint that does not match its config,
+    header or row, a header fingerprint or prior table that breaks its config,
     a non-finite feature, tokens that are not their question type's
     template, or an answer outside its question type's block.
     """
@@ -302,17 +339,13 @@ def load_split(path) -> Split:
             [[float(v) for v in row] for row in header["priors"]]))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: line 1: bad prior table: {exc}") from None
-    if priors.table.shape != (config.num_qtypes, config.num_answers):
-        raise DataFormatError(f"{path}: line 1: prior table shape {priors.table.shape}, "
-                              f"expected ({config.num_qtypes}, {config.num_answers})")
     t = config.tokens_per_question
     ids, features = _read_rows(path, lines[1:], t, config.v_in_dim)
-    qtypes, answers = ids[:, 0].copy(), ids[:, 1 + t].copy()
-    tokens, features = ids[:, 1:1 + t].copy(), features.copy()
     try:
-        split = Split(qtypes, tokens, answers, features, priors, header["role"], config)
+        split = Split(ids[:, 1 + t].copy(), features.copy(), priors, header["role"], config)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: line 1: {exc}") from None
+    qtypes, tokens, answers, features = ids[:, 0], ids[:, 1:1 + t], split.answers, split.features
     checks = (((qtypes < 0) | (qtypes >= config.num_qtypes), "qtype {q} out of range"),
               ((answers < 0) | (answers >= config.num_answers), "answer {a} out of range"),
               (~np.isfinite(features).all(axis=1), "non-finite visual feature"),

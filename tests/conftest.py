@@ -1,5 +1,8 @@
 """Shared fixtures: toy configurations, the total-loss check builder and
 the hypothesis settings every property test runs under."""
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,6 +26,19 @@ from debiasvqa.model import encode_question, encode_visual
 # deadline; each test file sets only its max_examples
 settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
 settings.load_profile("reproducible")
+
+
+def openblas_corename():
+    """Name of the kernel numpy's vendored OpenBLAS picked at run time
+    (``SkylakeX``; ``OPENBLAS_CORETYPE`` overrides it), or None when numpy
+    ships no such library or it lacks the call."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def cross_entropy_per_sample(logits, targets) -> np.ndarray:

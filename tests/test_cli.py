@@ -223,7 +223,10 @@ def _edit_field(index, edit):
      "line 1: fingerprint"),
     ({"edit_header": lambda h: h["config"].update(v_in_dim=16.0)},
      "line 1: bad config: v_in_dim must be an integer, got 16.0"),
-], ids=["template", "block", "fingerprint", "float-dim"])
+    # reversed, question type 2's row keeps its sum but moves to answers 25-29
+    ({"edit_header": lambda h: h["priors"][2].reverse()},
+     "line 1: prior row of question type 2 puts mass outside its answer block"),
+], ids=["template", "block", "fingerprint", "float-dim", "off-block-prior"])
 def test_split_contract_violation_exits_two(pipeline, tmp_path, capsys, edits, message):
     bad = _rewrite_split(pipeline / "id_test.split", tmp_path / "bad.split", **edits)
     for argv in (["eval", str(pipeline / "model.ckpt"), str(bad)],

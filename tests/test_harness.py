@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import toy_benchmark_config, toy_model_config
+from conftest import openblas_corename, toy_benchmark_config, toy_model_config
 from debiasvqa import (
     BenchmarkConfig,
     LossVariant,
@@ -297,8 +297,7 @@ def test_evaluate_rejects_empty_and_missing_qtypes(toy):
     params = init_params(mc)
 
     def rows(mask):
-        return Split(train_s.qtypes[mask], train_s.tokens[mask], train_s.answers[mask],
-                     train_s.features[mask], train_s.priors, "test", cfg)
+        return Split(train_s.answers[mask], train_s.features[mask], train_s.priors, "test", cfg)
     with pytest.raises(ValueError):
         evaluate(params, rows(np.zeros(len(train_s), dtype=bool)))
     with pytest.raises(ValueError, match="question type 1"):
@@ -365,6 +364,18 @@ def test_evaluate_allocation_peak_is_bounded(default_shifted):
     table = Tensor(params["token_embeddings"].data)
     out_bytes = len(ood_s) * table.data.shape[1] * 8
     assert _traced_peak(embedding_mean, table, ood_s.tokens) <= 2.5 * out_bytes
+
+
+# Traced peak of writing the default 8000-row train split: one 128-row
+# block stacked from the four columns, its Python values and its text
+# (about 0.18 MB); stacking the whole split first would hold 1.4 MB more.
+SAVE_SPLIT_PEAK_BYTES = 200_000
+
+
+def test_save_split_allocation_peak_is_bounded(tmp_path):
+    bench = BenchmarkConfig()
+    split = generate_split(build_priors(bench)[0], bench.n_train, "train", bench)
+    assert _traced_peak(save_split, split, tmp_path / "train.split") <= SAVE_SPLIT_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +478,12 @@ def test_load_report_rejects_garbage(tmp_path):
 # SHA-256 of checkpoints trained for 3 epochs on a 1000-sample default
 # split, recorded before the training step was fused (per-tensor Adam,
 # np.add.at embedding backward, softmax recomputed per consumer).  Floats
-# may round differently under another BLAS or numpy build, so the pins
-# hold only for the build they were recorded with.
+# may round differently under another BLAS or numpy build, or another
+# kernel of the same OpenBLAS (tests/test_blas_kernels.py), so the pins
+# hold only for the build and the run-time kernel they were recorded with.
 PINNED_BUILD = {"numpy": "2.4.6", "blas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
-                                           "NO_AFFINITY Haswell MAX_THREADS=64"}
+                                           "NO_AFFINITY Haswell MAX_THREADS=64",
+                "kernel": "SkylakeX"}
 PINNED_CHECKPOINTS = {
     "0-ce": "59379c7bb47090343b628d542b706f5154741588c79c30fa9751f5531fc1c758",
     "0-lpf5": "714b12b5d17d9646d693c68a38d30d5e30a98437c708d300d9b06b869f6200e9",
@@ -499,7 +512,8 @@ PINNED_VARIANTS = {"ce": LossVariant.ce(), "lpf5": LossVariant.lpf(5.0),
 
 def _numpy_build() -> dict:
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__, "blas": blas.get("openblas configuration")}
+    return {"numpy": np.__version__, "blas": blas.get("openblas configuration"),
+            "kernel": openblas_corename()}
 
 
 @pytest.mark.skipif(_numpy_build() != PINNED_BUILD,

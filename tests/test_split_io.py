@@ -20,7 +20,6 @@ from debiasvqa.synthbench import (
     build_priors,
     generate_split,
     load_split,
-    question_template,
     save_split,
 )
 
@@ -62,10 +61,7 @@ def splits(draw):
                                     min_size=n, max_size=n)), dtype=np.int64)
     offsets = draw(st.lists(st.integers(0, config.answers_per_qtype - 1), min_size=n, max_size=n))
     features = draw(st.lists(FEATURES, min_size=n * config.v_in_dim, max_size=n * config.v_in_dim))
-    return Split(qtypes=qtypes,
-                 tokens=np.array([question_template(q, config) for q in qtypes.tolist()],
-                                 dtype=np.int64).reshape(n, config.tokens_per_question),
-                 answers=qtypes * config.answers_per_qtype + np.array(offsets, dtype=np.int64),
+    return Split(answers=qtypes * config.answers_per_qtype + np.array(offsets, dtype=np.int64),
                  features=np.array(features, dtype=np.float64).reshape(n, config.v_in_dim),
                  priors=build_priors(config)[draw(st.integers(0, 1))],
                  role=draw(st.sampled_from(["train", "test"])), config=config)

@@ -1,6 +1,7 @@
 """Benchmark generator: priors, stratification, file format, reference accuracies."""
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import toy_benchmark_config
 from debiasvqa import (
     BenchmarkConfig,
     PriorTable,
+    Split,
     answer_block,
     bayes_qo_accuracy,
     bias_trap_accuracy,
@@ -280,6 +282,30 @@ def test_column_shapes_and_len():
     assert train.features.shape == (44, 4)
     for column in (train.qtypes, train.tokens, train.answers):
         assert column.dtype == np.int64
+
+
+def test_split_derives_qtypes_and_tokens_from_answers():
+    cfg = small_config()
+    answers, features = np.array([4, 0, 5, 2]), np.zeros((4, cfg.v_in_dim))
+    split = Split(answers, features, build_priors(cfg)[0], "test", cfg)
+    assert [f.name for f in fields(Split) if f.init] == ["answers", "features", "priors",
+                                                         "role", "config"]
+    assert np.array_equal(split.qtypes, answers // cfg.answers_per_qtype)
+    assert split.tokens.tolist() == [list(question_template(q, cfg)) for q in (1, 0, 1, 0)]
+    with pytest.raises(TypeError):
+        Split(answers, features, build_priors(cfg)[0], "test", cfg, qtypes=split.qtypes)
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.full((1, 6), 1 / 6), r"prior table shape \(1, 6\), expected \(2, 6\)"),
+    (np.full((2, 3), 1 / 3), r"prior table shape \(2, 3\), expected \(2, 6\)"),
+    ([[0.5, 0.5, 0, 0, 0, 0], [0.5, 0, 0, 0.5, 0, 0]],
+     "prior row of question type 1 puts mass outside its answer block"),
+], ids=["fewer-qtypes", "fewer-answers", "off-block"])
+def test_split_rejects_priors_that_break_the_layout(table, message):
+    cfg = small_config()
+    with pytest.raises(ConfigError, match=message):
+        Split(np.array([0, 3]), np.zeros((2, cfg.v_in_dim)), PriorTable(table), "train", cfg)
 
 
 # ---------------------------------------------------------------------------
