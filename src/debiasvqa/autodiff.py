@@ -19,7 +19,7 @@ from .errors import ShapeError
 class Tensor:
     """A node in the computation graph wrapping a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_softmax")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -27,6 +27,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._softmax: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -230,12 +231,17 @@ def embedding_mean(table: Tensor, token_ids: np.ndarray) -> Tensor:
     return _make_node(out, (table,), backward)
 
 
-def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax and log-softmax of a 2-D array from one ``exp``.
+def softmax_parts(logits: Tensor | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax of 2-D logits from one ``exp``.
 
     Returns ``(probs, logp)``; both subtract the row max first for
-    overflow safety.
+    overflow safety.  An op's output, whose data nothing writes after the
+    op, keeps its pair; a leaf's array can change, so it gets a fresh one.
     """
+    if isinstance(logits, Tensor):
+        if logits._softmax is None and logits._parents:
+            logits._softmax = softmax_parts(logits.data)
+        return logits._softmax or softmax_parts(logits.data)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
@@ -253,13 +259,12 @@ def _check_targets(targets: np.ndarray, n_classes: int) -> np.ndarray:
     return t
 
 
-def weighted_cross_entropy(logits: Tensor, targets, weights, parts=None) -> Tensor:
+def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """Mean of per-sample cross entropy scaled by constant weights.
 
     Returns -(1/B) * sum_i weights[i] * log softmax(logits[i])[targets[i]].
     The weights carry no gradient; backward produces the analytic
-    softmax-CE gradient scaled by weights[i] / B on each row.  ``parts``
-    is ``softmax_parts(logits.data)`` when the caller already has it.
+    softmax-CE gradient scaled by weights[i] / B on each row.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"weighted_cross_entropy expects [B, C] logits, got {logits.data.shape}")
@@ -273,7 +278,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, parts=None) -> Tens
     if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
         raise ValueError(f"weights must lie in [0, 1], got range [{w.min()}, {w.max()}]")
 
-    probs, logp = softmax_parts(logits.data) if parts is None else parts
+    probs, logp = softmax_parts(logits)
     rows = np.arange(batch)
     loss = -np.sum(w * logp[rows, t]) / batch
 

@@ -161,43 +161,46 @@ def train(train_split: Split, config: TrainConfig,
     log = RunLog()
     n = len(train_split)
     step = 0
-    for epoch in range(config.epochs):
-        order = epoch_order(config, epoch, n)
-        sums = {"lpf": 0.0, "qo": 0.0, "alpha": 0.0, "beta": 0.0}
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits_vqa, logits_qo = forward_batch(
-                params, train_split.tokens[idx], train_split.features[idx])
-            targets = train_split.answers[idx]
-            total, record = batch_objective(
-                logits_vqa, logits_qo, targets, config.variant,
-                priors=priors, qtype_ids=train_split.qtypes[idx])
-            if not np.isfinite(record.total):
-                raise NumericalError(
-                    f"non-finite loss {record.total} at epoch {epoch}, step {step}")
-            total.backward()
-            if record_hook is not None:
-                record_hook(epoch, step, idx, record)
-            adam_step([params.flat], config.lr)
-            if not np.isfinite(params.flat.data).all():
-                raise NumericalError(
-                    f"non-finite parameter after the Adam step at epoch {epoch}, step {step}")
-            zero_grad([params.flat])
-            b = len(idx)
-            sums["lpf"] += record.lpf * b
-            sums["qo"] += record.qo * b
-            sums["alpha"] += float(record.alpha.sum())
-            sums["beta"] += float(record.beta.sum())
-            correct += int((logits_vqa.data.argmax(axis=1) == targets).sum())
-            step += 1
-        log.epochs.append(EpochStats(
-            mean_lpf=sums["lpf"] / n,
-            mean_qo=sums["qo"] / n,
-            mean_alpha=sums["alpha"] / n,
-            mean_beta=sums["beta"] / n,
-            train_accuracy=correct / n,
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge step overflows the next forward
+        for epoch in range(config.epochs):
+            order = epoch_order(config, epoch, n)
+            sums = {"lpf": 0.0, "qo": 0.0, "alpha": 0.0, "beta": 0.0}
+            correct = 0
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                logits_vqa, logits_qo = forward_batch(
+                    params, train_split.tokens[idx], train_split.features[idx])
+                if not (np.isfinite(logits_vqa.data).all() and np.isfinite(logits_qo.data).all()):
+                    raise NumericalError(f"non-finite logits at epoch {epoch}, step {step}")
+                targets = train_split.answers[idx]
+                total, record = batch_objective(
+                    logits_vqa, logits_qo, targets, config.variant,
+                    priors=priors, qtype_ids=train_split.qtypes[idx])
+                if not np.isfinite(record.total):
+                    raise NumericalError(
+                        f"non-finite loss {record.total} at epoch {epoch}, step {step}")
+                total.backward()
+                if record_hook is not None:
+                    record_hook(epoch, step, idx, record)
+                adam_step([params.flat], config.lr)
+                if not np.isfinite(params.flat.data).all():
+                    raise NumericalError(
+                        f"non-finite parameter after the Adam step at epoch {epoch}, step {step}")
+                zero_grad([params.flat])
+                b = len(idx)
+                sums["lpf"] += record.lpf * b
+                sums["qo"] += record.qo * b
+                sums["alpha"] += float(record.alpha.sum())
+                sums["beta"] += float(record.beta.sum())
+                correct += int((logits_vqa.data.argmax(axis=1) == targets).sum())
+                step += 1
+            log.epochs.append(EpochStats(
+                mean_lpf=sums["lpf"] / n,
+                mean_qo=sums["qo"] / n,
+                mean_alpha=sums["alpha"] / n,
+                mean_beta=sums["beta"] / n,
+                train_accuracy=correct / n,
+            ))
     return params, log
 
 

@@ -7,8 +7,8 @@ alone already answers get alpha near 1 and are down-weighted toward zero;
 samples that need the image keep weight near 1.
 
 :func:`batch_objective`, which trains, composes the public primitives the
-gradient tests also build on: one ``softmax_parts`` per head feeds
-:func:`variant_alpha`, :func:`lpf_loss` and :func:`qo_loss`, and
+gradient tests also build on: :func:`variant_alpha`, :func:`lpf_loss`
+and :func:`qo_loss` read each head's one ``softmax_parts``, and
 :func:`total_loss` sums the two losses.  :func:`variant_alpha` is the one
 place alpha is picked: the question-only head for ce and lpf, the main
 head's own prediction for focal (the multi-class focal rule), and a
@@ -85,18 +85,16 @@ class BatchLossRecord:
     total: float
 
 
-def alpha_from_qo(logits_qo, targets, parts=None) -> np.ndarray:
+def alpha_from_qo(logits_qo: Tensor, targets) -> np.ndarray:
     """Bias factor: softmax probability of the true answer, as a constant.
 
     The result is a plain array with no graph attached, so nothing that
-    consumes it can backpropagate into the question-only head.  ``parts``
-    is ``softmax_parts`` of the logits when the caller already has it.
+    consumes it can backpropagate into the question-only head.
     """
-    data = logits_qo.data if isinstance(logits_qo, Tensor) else np.asarray(logits_qo, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeError(f"expected [B, A] logits, got shape {data.shape}")
-    t = _check_targets(targets, data.shape[1])
-    return (softmax_parts(data) if parts is None else parts)[0][np.arange(len(t)), t]
+    if logits_qo.data.ndim != 2:
+        raise ShapeError(f"expected [B, A] logits, got shape {logits_qo.data.shape}")
+    t = _check_targets(targets, logits_qo.data.shape[1])
+    return softmax_parts(logits_qo)[0][np.arange(len(t)), t]
 
 
 def beta(alpha, gamma: float):
@@ -110,21 +108,21 @@ def beta(alpha, gamma: float):
     return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
 
 
-def lpf_loss(logits_vqa: Tensor, targets, alpha, gamma: float, parts=None) -> Tensor:
+def lpf_loss(logits_vqa: Tensor, targets, alpha, gamma: float) -> Tensor:
     """Reweighted classification loss with constant per-sample weights."""
-    return _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma, parts)[0]
+    return _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma)[0]
 
 
-def _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma, parts):
+def _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma):
     """:func:`lpf_loss` and the weights beta(alpha, gamma) it applied."""
     weights = np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64))
-    return weighted_cross_entropy(logits_vqa, targets, weights, parts=parts), weights
+    return weighted_cross_entropy(logits_vqa, targets, weights), weights
 
 
-def qo_loss(logits_qo: Tensor, targets, parts=None) -> Tensor:
+def qo_loss(logits_qo: Tensor, targets) -> Tensor:
     """Plain mean cross entropy on the question-only logits."""
     batch = logits_qo.data.shape[0]
-    return weighted_cross_entropy(logits_qo, targets, np.ones(batch), parts=parts)
+    return weighted_cross_entropy(logits_qo, targets, np.ones(batch))
 
 
 def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
@@ -133,15 +131,13 @@ def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
 
 
 def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
-                  priors: PriorTable | None = None, qtype_ids=None,
-                  parts=(None, None)) -> np.ndarray:
+                  priors: PriorTable | None = None, qtype_ids=None) -> np.ndarray:
     """Per-sample alpha of any variant, as a constant.
 
     CE and LPF read the true-answer probability off the question-only
     logits, FOCAL off the main model's own logits, both through
     :func:`alpha_from_qo`; PRECOMPUTED looks it up in an empirical
-    per-question-type answer table.  ``parts`` is the ``softmax_parts``
-    of (main, question-only) logits, either of them None to compute it.
+    per-question-type answer table.
     """
     if kind == VariantKind.PRECOMPUTED:
         if priors is None or qtype_ids is None:
@@ -155,7 +151,7 @@ def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
     if logits is None:
         raise ValueError("focal alpha needs the main model logits" if focal
                          else "ce and lpf alpha need the question-only logits")
-    return alpha_from_qo(logits, targets, parts[0 if focal else 1])
+    return alpha_from_qo(logits, targets)
 
 
 def build_prior_table(split) -> PriorTable:
@@ -188,12 +184,10 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     observability).
     """
     t = np.asarray(targets)
-    vqa_parts, qo_parts = softmax_parts(logits_vqa.data), softmax_parts(logits_qo.data)
     # the question-only loss goes first: it checks the targets alpha is read at
-    l_qo = qo_loss(logits_qo, t, parts=qo_parts)
-    alpha = variant_alpha(variant.kind, t, logits_vqa, logits_qo, priors, qtype_ids,
-                          parts=(vqa_parts, qo_parts))
-    l_lpf, weights = _lpf_loss_and_weights(logits_vqa, t, alpha, variant.gamma, vqa_parts)
+    l_qo = qo_loss(logits_qo, t)
+    alpha = variant_alpha(variant.kind, t, logits_vqa, logits_qo, priors, qtype_ids)
+    l_lpf, weights = _lpf_loss_and_weights(logits_vqa, t, alpha, variant.gamma)
     total = total_loss(l_lpf, l_qo)
     record = BatchLossRecord(
         alpha=alpha,

@@ -420,6 +420,17 @@ def test_overflowing_forward_pass_exits_three(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_learning_rate_exits_three(tmp_path, capsys):
+    # a finite step of about 1e100 passes the parameter check, then the next forward overflows
+    save_split(make_benchmark(toy_benchmark_config())[0], tmp_path / "train.split")
+    rc = main(["train", str(tmp_path / "train.split"), "--out", str(tmp_path / "m.ckpt"),
+               "--variant", "lpf", "--gamma", "5", "--batch-size", "16", "--lr", "1e100"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite logits at epoch 0, step 1\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------

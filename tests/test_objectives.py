@@ -25,6 +25,7 @@ from debiasvqa.autodiff import (
     grad_check,
     linear,
     softmax_parts,
+    weighted_cross_entropy,
     zero_grad,
 )
 from debiasvqa.cli import model_config_for
@@ -313,13 +314,49 @@ def test_ce_and_lpf_alpha_read_the_question_only_head():
     logits_vqa, logits_qo = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6)))
     targets = rng.integers(0, 6, size=5)
     expected = alpha_from_qo(logits_qo, targets)
-    parts = (softmax_parts(logits_vqa.data), softmax_parts(logits_qo.data))
     for kind in (VariantKind.CE, VariantKind.LPF):
         assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo), expected)
-        assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo, parts=parts),
-                              expected)
         with pytest.raises(ValueError):
             variant_alpha(kind, targets, logits_vqa=logits_vqa)
+
+
+def test_op_logits_keep_one_softmax_pair(monkeypatch):
+    rng = np.random.default_rng(31)
+    x, targets = Tensor(rng.normal(size=(5, 3))), rng.integers(0, 4, size=5)
+
+    def op_logits():
+        return linear(x, Parameter(rng.normal(size=(3, 4))))
+
+    logits = op_logits()
+    pair = softmax_parts(logits)
+    assert softmax_parts(logits) is pair
+    assert all(np.array_equal(a, b) for a, b in zip(pair, softmax_parts(logits.data)))
+
+    exp_calls, real_exp = [], np.exp
+
+    def counted_exp(a):
+        exp_calls.append(a.shape)
+        return real_exp(a)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    priors, qtypes = PriorTable(np.full((2, 4), 0.25)), np.zeros(5, dtype=np.int64)
+    for variant in (LossVariant.ce(), LossVariant.lpf(5.0), LossVariant.focal(),
+                    LossVariant.precomputed()):
+        exp_calls.clear()
+        batch_objective(op_logits(), op_logits(), targets, variant, priors, qtypes)
+        assert exp_calls == [(5, 4), (5, 4)], variant.kind  # one softmax per head
+
+
+def test_leaf_logits_get_a_fresh_softmax_on_every_call():
+    # a leaf's array changes in place (grad_check, an optimizer step), so no pair may go stale
+    rng = np.random.default_rng(32)
+    logits = Parameter(rng.normal(size=(4, 3)))
+    targets, weights = rng.integers(0, 3, size=4), rng.uniform(size=4)
+    assert grad_check(lambda: weighted_cross_entropy(logits, targets, weights), [logits]) <= 1e-6
+
+    leaf = Tensor(np.zeros((2, 3)))
+    assert np.allclose(alpha_from_qo(leaf, [0, 1]), 1.0 / 3.0, rtol=0.0, atol=1e-15)
+    leaf.data[0, 0] = 50.0
+    assert alpha_from_qo(leaf, [0, 1])[0] > 1.0 - 1e-15
 
 
 # ---------------------------------------------------------------------------
