@@ -9,11 +9,55 @@ fixed order (embedding rows summed in token order, their gradients by
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
+
+
+@functools.cache
+def _openblas() -> dict[str, Callable]:
+    """The ``get_num_threads``, ``set_num_threads`` and ``get_corename``
+    calls of numpy's vendored OpenBLAS, typed, without any the library
+    lacks; empty when numpy carries none (an MKL or Accelerate build, say)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib, calls = ctypes.CDLL(str(path)), {}
+        for call, restype in (("get_num_threads", ctypes.c_int), ("set_num_threads", None),
+                              ("get_corename", ctypes.c_char_p)):
+            for name in (f"scipy_openblas_{call}64_", f"openblas_{call}64_", f"openblas_{call}"):
+                if hasattr(lib, name):
+                    calls[call] = fn = getattr(lib, name)
+                    fn.restype = restype
+                    break
+        if calls:
+            return calls
+    return {}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count.
+
+    The tape's matmuls are small (at most 256×64×64 in a default run): a
+    second thread saves them nothing, spins between them and competes
+    with every other process for the cores.  Checkpoints are the same
+    bits at 1 and 2 threads (``tests/test_blas_kernels.py``).
+    """
+    blas = _openblas()
+    if "get_num_threads" not in blas or "set_num_threads" not in blas:
+        yield
+        return
+    before = blas["get_num_threads"]()
+    blas["set_num_threads"](1)
+    try:
+        yield
+    finally:
+        blas["set_num_threads"](before)
 
 
 class Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, adam_step, zero_grad
+from .autodiff import Tensor, _one_blas_thread, adam_step, zero_grad
 from .errors import ConfigError, DataFormatError, NumericalError, bounded, check_fields, read_text
 from .model import (
     ModelConfig,
@@ -161,7 +161,8 @@ def train(train_split: Split, config: TrainConfig,
     log = RunLog()
     n = len(train_split)
     step = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge step overflows the next forward
+    # a huge step overflows the next forward; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         for epoch in range(config.epochs):
             order = epoch_order(config, epoch, n)
             sums = {"lpf": 0.0, "qo": 0.0, "alpha": 0.0, "beta": 0.0}

@@ -1,8 +1,5 @@
 """Shared fixtures: toy configurations, the total-loss check builder and
 the hypothesis settings every property test runs under."""
-import ctypes
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,7 +16,7 @@ from debiasvqa import (
     qo_loss,
     total_loss,
 )
-from debiasvqa.autodiff import softmax_parts
+from debiasvqa.autodiff import _openblas, softmax_parts
 from debiasvqa.model import encode_question, encode_visual
 
 # reproducible property tests: no random seed, no example database, no
@@ -32,13 +29,8 @@ def openblas_corename():
     """Name of the kernel numpy's vendored OpenBLAS picked at run time
     (``SkylakeX``; ``OPENBLAS_CORETYPE`` overrides it), or None when numpy
     ships no such library or it lacks the call."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
+    corename = _openblas().get("get_corename")
+    return corename().decode() if corename else None
 
 
 def cross_entropy_per_sample(logits, targets) -> np.ndarray:

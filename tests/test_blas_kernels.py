@@ -6,7 +6,6 @@ kernel OpenBLAS picks here and under forced older ones
 (``OPENBLAS_CORETYPE``), each at 1 and 2 threads.
 """
 import hashlib
-import inspect
 import os
 import platform
 import subprocess
@@ -27,11 +26,11 @@ from debiasvqa import load_checkpoint
 PARAM_ATOL = 1e-6
 
 # conftest imports pytest and hypothesis, which would double each run's
-# start-up, so the run takes the one function it needs as source
-RUN = "import ctypes\nimport sys\nfrom pathlib import Path\nimport numpy as np\n" \
-    + inspect.getsource(openblas_corename) + """
+# start-up, so the run asks the library lookup for the kernel name itself
+RUN = """import sys
 from debiasvqa import (BenchmarkConfig, LossVariant, TrainConfig, build_priors,
                        generate_split, save_checkpoint, save_split, train)
+from debiasvqa.autodiff import _openblas
 from debiasvqa.cli import model_config_for
 bench = BenchmarkConfig(seed=0, n_train=1000, n_test=40)
 split = generate_split(build_priors(bench)[0], bench.n_train, "train", bench)
@@ -39,7 +38,7 @@ save_split(split, sys.argv[1] + ".split")
 config = TrainConfig(variant=LossVariant.lpf(5.0), model=model_config_for(bench, 0),
                      epochs=3, seed=0)
 save_checkpoint(train(split, config)[0], sys.argv[1] + ".ckpt")
-print(openblas_corename())
+print(_openblas()["get_corename"]().decode())
 """
 
 

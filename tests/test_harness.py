@@ -32,9 +32,9 @@ from debiasvqa import (
     zero_grad,
 )
 from debiasvqa import harness
-from debiasvqa.autodiff import embedding_mean
+from debiasvqa.autodiff import _openblas, embedding_mean
 from debiasvqa.cli import main, model_config_for
-from debiasvqa.errors import ConfigError, DataFormatError
+from debiasvqa.errors import ConfigError, DataFormatError, NumericalError
 from debiasvqa.harness import (
     REPORT_CSV_COLUMNS,
     check_compatible,
@@ -164,6 +164,26 @@ def test_record_hook_sees_every_step(toy):
               (epoch, step, len(idx), record.beta.shape)))
     assert [(c[0], c[1]) for c in calls] == [(0, 0), (0, 1), (1, 2), (1, 3)]
     assert all(c[2] == 32 and c[3] == (32,) for c in calls)
+
+
+@pytest.mark.skipif(not {"get_num_threads", "set_num_threads"} <= _openblas().keys(),
+                    reason="needs numpy's vendored OpenBLAS")
+def test_train_runs_on_one_blas_thread_and_restores_the_count(toy):
+    _, train_s, _, _, mc = toy
+    get, set_threads = _openblas()["get_num_threads"], _openblas()["set_num_threads"]
+    original = get()
+    try:
+        set_threads(2)
+        seen = []
+        train(train_s, quick_config(mc), record_hook=lambda *_: seen.append(get()))
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        # a finite step of about 1e100 passes the parameter check, then the next forward overflows
+        with pytest.raises(NumericalError, match="non-finite logits at epoch 0, step 1"):
+            train(train_s, quick_config(mc, variant=LossVariant.lpf(5.0), lr=1e100))
+        assert get() == 2
+    finally:
+        set_threads(original)
 
 
 def test_epoch_stats_ranges(toy):
