@@ -24,7 +24,6 @@ from .harness import (
     emit_report,
     evaluate,
     kl_divergence,
-    load_report,
     sweep_gamma,
     train,
 )

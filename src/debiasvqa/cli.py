@@ -3,7 +3,7 @@
 Subcommands cover the full pipeline: ``gen`` writes benchmark split
 files, ``train`` produces a checkpoint and run log, ``eval`` scores a
 checkpoint on a split, ``sweep`` trains one model per gamma and writes a
-report, ``report`` converts report files between formats.
+json or csv report.
 
 :func:`build_parser` declares each flag's type, choices and default
 once.  A ``--config`` file of ``key=value`` lines may set any flag of
@@ -26,7 +26,6 @@ from .harness import (
     TrainConfig,
     emit_report,
     evaluate,
-    load_report,
     sweep_gamma,
     train,
 )
@@ -91,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; at least one value required")
     training_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("report", help="convert a json report to csv or json")
-    p.add_argument("report")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     return parser
 
 
@@ -179,8 +173,9 @@ def _cmd_train(args) -> int:
     }
     Path(log_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                               encoding="utf-8")
-    final = log.epochs[-1].train_accuracy if log.epochs else float("nan")
-    print(f"wrote {args.out} and {log_path} (final train accuracy {final:.4f})")
+    result = (f"final train accuracy {log.epochs[-1].train_accuracy:.4f}" if log.epochs
+              else "no epoch ran")
+    print(f"wrote {args.out} and {log_path} ({result})")
     return 0
 
 
@@ -209,15 +204,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    rows = load_report(args.report)
-    emit_report(rows, args.out, format=args.format)
-    print(f"wrote {args.out} ({len(rows)} gamma rows, format {args.format})")
-    return 0
-
-
-_COMMANDS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval,
-             "sweep": _cmd_sweep, "report": _cmd_report}
+_COMMANDS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval, "sweep": _cmd_sweep}
 
 
 def main(argv=None) -> int:

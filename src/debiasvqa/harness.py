@@ -1,4 +1,4 @@
-"""Training loop, evaluation metrics, gamma sweeps, and report files.
+"""Training loop, evaluation metrics, gamma sweeps, and report output.
 
 Training runs both model branches on every batch, combines their losses
 per the configured variant, and takes one Adam step on all parameters.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autodiff import Tensor, _one_blas_thread, adam_step, zero_grad
-from .errors import ConfigError, DataFormatError, NumericalError, bounded, check_fields, read_text
+from .errors import ConfigError, NumericalError, bounded, check_fields
 from .model import (
     ModelConfig,
     VqaModelParams,
@@ -70,49 +70,19 @@ class RunLog:
     epochs: list[EpochStats] = field(default_factory=list)
 
 
-def _dims(ndim: int, integral: bool = False, optional: bool = False):
-    """A report field's entry in the table that to_dict and from_dict read."""
-    return field(metadata={"ndim": ndim, "integral": integral, "optional": optional})
-
-
 @dataclass
 class EvalReport:
-    overall_accuracy: float = _dims(0)
-    per_qtype_accuracy: np.ndarray = _dims(1)                # [K]
-    per_qtype_counts: np.ndarray = _dims(1, integral=True)   # [K]
-    predicted_distribution: np.ndarray = _dims(2)            # [K, A], rows sum to 1
-    kl_to_split_prior: np.ndarray = _dims(1)                 # [K]
-    kl_to_train_prior: np.ndarray | None = _dims(1, optional=True)  # [K] given train priors
-    sample_count: int = _dims(0, integral=True)
+    overall_accuracy: float
+    per_qtype_accuracy: np.ndarray         # [K]
+    per_qtype_counts: np.ndarray           # [K]
+    predicted_distribution: np.ndarray     # [K, A], rows sum to 1
+    kl_to_split_prior: np.ndarray          # [K]
+    kl_to_train_prior: np.ndarray | None   # [K] given train priors
+    sample_count: int
 
     def to_dict(self) -> dict:
         return {f.name: v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray) else v
                 for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**{f.name: _report_field(d, f.name, **f.metadata) for f in fields(cls)})
-
-
-def _report_field(d: dict, key: str, ndim: int, integral: bool = False, optional: bool = False):
-    """A report field as a finite float64 (or exact int64) array of ``ndim``
-    dimensions, a Python number when ``ndim`` is 0, or None if ``optional``.
-
-    Raises ValueError, TypeError or OverflowError on a wrongly typed field.
-    """
-    if d[key] is None and optional:
-        return None
-    if d[key] is None:
-        raise ValueError(f"{key!r} is null, expected {'a number' if ndim == 0 else 'an array of numbers'}")
-    value = np.array(d[key], dtype=np.float64)
-    if value.ndim != ndim:
-        raise ValueError(f"{key!r} must have {ndim} dimension(s), got shape {value.shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{key!r} has a non-finite value")
-    if integral and not ((value == np.floor(value)) & (np.abs(value) <= 2 ** 53)).all():
-        raise ValueError(f"{key!r} must hold integers of at most 2**53")
-    value = value.astype(np.int64) if integral else value
-    return value.item() if ndim == 0 else value
 
 
 @dataclass
@@ -291,8 +261,9 @@ def sweep_gamma(gammas, base_config: TrainConfig,
 def emit_report(rows: list[SweepRow], path, format: str = "json") -> None:
     """Serialize sweep rows deterministically.
 
-    ``json`` round-trips through load_report; ``csv`` flattens each row to
-    two lines (one per test split) in REPORT_CSV_COLUMNS order.
+    ``json`` writes every field of both reports per row, under
+    REPORT_FORMAT_VERSION; ``csv`` flattens each row to two lines (one per
+    test split) in REPORT_CSV_COLUMNS order.
     """
     if format == "json":
         payload = {
@@ -325,27 +296,3 @@ def emit_report(rows: list[SweepRow], path, format: str = "json") -> None:
                     ])
         return
     raise ConfigError(f"unknown report format {format!r} (use 'json' or 'csv')")
-
-
-def load_report(path) -> list[SweepRow]:
-    """Read back a json-format report produced by emit_report."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: bad report: {exc}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
-        raise DataFormatError(f"{path}: not a report file")
-    version = payload.get("format_version")
-    if version != REPORT_FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: report version {version!r}, expected {REPORT_FORMAT_VERSION}")
-    try:
-        return [SweepRow(
-            gamma=_report_field(row, "gamma", 0),
-            id_report=EvalReport.from_dict(row["id"]),
-            ood_report=EvalReport.from_dict(row["ood"]),
-        ) for row in payload["rows"]]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: report row missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{path}: bad report row: {exc}") from None

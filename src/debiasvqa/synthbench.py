@@ -107,6 +107,11 @@ def _check_priors(priors: PriorTable, config: BenchmarkConfig) -> None:
                           "puts mass outside its answer block")
 
 
+def _describe(column) -> str:
+    """A column's dtype and shape, or its type if it is not an array."""
+    return f"{column.dtype} {column.shape}" if isinstance(column, np.ndarray) else type(column).__name__
+
+
 @dataclass(eq=False)
 class Split:
     """A split as row-aligned columns over its N samples.
@@ -127,6 +132,12 @@ class Split:
     def __post_init__(self):
         if self.role not in ("train", "test"):
             raise ConfigError(f"role must be 'train' or 'test', got {self.role!r}")
+        if not (isinstance(self.answers, np.ndarray) and self.answers.ndim == 1
+                and np.issubdtype(self.answers.dtype, np.integer)):
+            raise ConfigError(f"answers must be a 1-D integer array, got {_describe(self.answers)}")
+        want = (len(self.answers), self.config.v_in_dim)
+        if not (isinstance(self.features, np.ndarray) and self.features.shape == want):
+            raise ConfigError(f"features must be an array of shape {want}, got {_describe(self.features)}")
         _check_priors(self.priors, self.config)
         self.qtypes = self.answers // self.config.answers_per_qtype
         self.tokens = _templates(self.qtypes, self.config)

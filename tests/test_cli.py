@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_benchmark_config
-from debiasvqa import BenchmarkConfig, NumericalError, cli, harness, load_report
+from debiasvqa import BenchmarkConfig, NumericalError, cli, harness
 from debiasvqa.cli import build_parser, load_config_file, main
 from debiasvqa.errors import DataFormatError
 from debiasvqa.harness import REPORT_CSV_COLUMNS
@@ -43,6 +43,15 @@ def test_train_writes_checkpoint_and_runlog(pipeline):
     assert 0.0 <= log["epochs"][-1]["train_accuracy"] <= 1.0
 
 
+def test_train_zero_epochs_says_no_epoch_ran(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "zero.ckpt"
+    assert main(["train", str(pipeline / "train.split"), "--epochs", "0",
+                 "--out", str(ckpt)]) == 0
+    out = capsys.readouterr().out
+    assert "no epoch ran" in out and "nan" not in out
+    assert json.loads((tmp_path / "zero.ckpt.runlog.json").read_text())["epochs"] == []
+
+
 def test_eval_to_file(pipeline):
     out = pipeline / "eval.json"
     rc = main(["eval", str(pipeline / "model.ckpt"),
@@ -65,13 +74,9 @@ def test_sweep_then_report(pipeline):
                str(pipeline / "ood_test.split"), "--gamma", "0", "--gamma", "2",
                "--epochs", "1", "--out", str(report)])
     assert rc == 0
-    rows = load_report(report)
-    assert [r.gamma for r in rows] == [0.0, 2.0]
-
-    csv_out = pipeline / "report.csv"
-    assert main(["report", str(report), "--out", str(csv_out)]) == 0
-    header = csv_out.read_text().splitlines()[0]
-    assert tuple(header.split(",")) == REPORT_CSV_COLUMNS
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["format_version"] == harness.REPORT_FORMAT_VERSION
+    assert [row["gamma"] for row in payload["rows"]] == [0.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +87,13 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["train"]) == 1
     assert main(["gen", "--bogus"]) == 1
-    assert main(["report", "x.json", "--format", "xml"]) == 1
-    capsys.readouterr()
+    assert main(["sweep", "t.split", "i.split", "o.split", "--format", "xml"]) == 1
+    assert main(["report", "x.json"]) == 1  # no such subcommand
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 def test_only_gen_train_and_sweep_take_a_seed(capsys):
     assert main(["eval", "m.ckpt", "x.split", "--seed", "1"]) == 1
-    assert main(["report", "x.json", "--seed", "1"]) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
@@ -270,81 +275,6 @@ def test_directory_path_exits_two(pipeline, tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
-# one row side of a valid report: two question types, two answers
-_REPORT_SIDE = {"overall_accuracy": 0.5, "per_qtype_accuracy": [0.5, 0.5],
-                "per_qtype_counts": [2, 2], "predicted_distribution": [[0.5, 0.5], [0.5, 0.5]],
-                "kl_to_split_prior": [0.0, 0.0], "kl_to_train_prior": None, "sample_count": 4}
-
-
-def _report_row(**ood_changes):
-    return {"gamma": 1.0, "id": _REPORT_SIDE, "ood": {**_REPORT_SIDE, **ood_changes}}
-
-
-@pytest.mark.parametrize("rows, message", [
-    ([{"gamma": 1}], "missing key 'id'"),
-    ([{"gamma": "x", "id": {}, "ood": {}}], "could not convert string to float"),
-    ([3], "bad report row"),
-    ([_report_row(per_qtype_accuracy="high")], "could not convert string to float"),
-    ([_report_row(predicted_distribution=[0.5])], "must have 2 dimension(s)"),
-    ([_report_row(sample_count=None)], "bad report row"),
-], ids=["missing-key", "bad-gamma", "row-not-object", "string-array", "flat-distribution",
-        "null-count"])
-def test_malformed_report_exits_two(tmp_path, capsys, rows, message):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"format_version": 1, "rows": [_report_row()]}))
-    assert main(["report", str(good), "--out", str(tmp_path / "r.csv")]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format_version": 1, "rows": rows}))
-    capsys.readouterr()
-    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("row, raw, message", [
-    (_report_row(sample_count="@"), "1e400", "'sample_count' has a non-finite value"),
-    (_report_row(sample_count="@"), "4.5", "'sample_count' must hold integers"),
-    (_report_row(per_qtype_counts="@"), "[2, 1e19]", "'per_qtype_counts' must hold integers"),
-    (_report_row(overall_accuracy="@"), "NaN", "'overall_accuracy' has a non-finite value"),
-    (_report_row(kl_to_split_prior="@"), "[0.0, -Infinity]", "'kl_to_split_prior' has a non-finite"),
-    ({**_report_row(), "gamma": "@"}, "Infinity", "'gamma' has a non-finite value"),
-], ids=["count-1e400", "count-fraction", "counts-1e19", "accuracy-nan", "kl-inf", "gamma-inf"])
-def test_non_finite_or_fractional_report_number_exits_two(tmp_path, capsys, row, raw, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format_version": 1, "rows": [row]}).replace('"@"', raw))
-    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "r.csv").exists()
-
-
-@pytest.mark.parametrize("field, message", [
-    ("overall_accuracy", "'overall_accuracy' is null, expected a number"),
-    ("per_qtype_accuracy", "'per_qtype_accuracy' is null, expected an array of numbers"),
-], ids=["accuracy", "per-qtype-accuracy"])
-def test_null_report_number_exits_two(tmp_path, capsys, field, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format_version": 1, "rows": [_report_row(**{field: None})]}))
-    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "r.csv").exists()
-
-
-@pytest.mark.parametrize("payload", [{"format_version": 1}, {"format_version": 1, "rows": {}}],
-                         ids=["no-rows", "rows-not-list"])
-def test_report_without_row_list_exits_two(tmp_path, capsys, payload):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    assert main(["report", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "not a report file" in err and "row" not in err.replace(str(bad), "")
-    assert err.count("\n") == 1
-
-
 @pytest.mark.parametrize("command, flags, message", [
     ("train", ["--variant", "lpf", "--gamma", "nan"], "gamma must be finite"),
     ("train", ["--variant", "lpf", "--gamma", "inf"], "gamma must be finite"),
@@ -478,7 +408,8 @@ def test_config_file_gamma_list_for_sweep(pipeline, tmp_path, capsys):
                str(pipeline / "ood_test.split"), "--config", str(cfg),
                "--out", str(out)])
     assert rc == 0
-    assert [r.gamma for r in load_report(out)] == [0.0, 1.5]
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [row["gamma"] for row in rows] == [0.0, 1.5]
     capsys.readouterr()
 
 
@@ -525,16 +456,11 @@ def _with_byte_e6(path, dst, lineno):
     return dst
 
 
-@pytest.mark.parametrize("kind", ["split", "report", "config"])
+@pytest.mark.parametrize("kind", ["split", "config"])
 def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys, kind):
     if kind == "split":
         bad = _with_byte_e6(pipeline / "ood_test.split", tmp_path / "bad.split", 3)
         argv = ["eval", str(pipeline / "model.ckpt"), str(bad)]
-    elif kind == "report":
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"format_version": 1, "rows": [_report_row()]}, indent=2))
-        bad = _with_byte_e6(good, tmp_path / "bad.json", 3)
-        argv = ["report", str(bad), "--out", str(tmp_path / "r.csv")]
     else:
         (tmp_path / "good.cfg").write_text("# seed for gen\nseed=1\n")
         bad = _with_byte_e6(tmp_path / "good.cfg", tmp_path / "bad.cfg", 3)
@@ -618,8 +544,7 @@ def _never(*args, **kwargs):
                                           if _texts(action)[2] is not None])
 def test_unreadable_config_value_exits_two_before_any_work(monkeypatch, tmp_path, capsys,
                                                            command, key):
-    for name in ("load_split", "make_benchmark", "load_checkpoint", "load_report",
-                 "train", "sweep_gamma"):
+    for name in ("load_split", "make_benchmark", "load_checkpoint", "train", "sweep_gamma"):
         monkeypatch.setattr(cli, name, _never)
     monkeypatch.setattr(harness, "train", _never)
     out = tmp_path / "out"

@@ -1,5 +1,5 @@
-"""Property tests for report and ``--config`` files: a corrupted file is
-either read or rejected as a data error in one line, never a traceback."""
+"""Property tests for ``--config`` files: a corrupted file is either read
+or rejected as a data error in one line, never a traceback."""
 import contextlib
 import io
 import re
@@ -15,16 +15,16 @@ from debiasvqa.harness import RunLog
 from debiasvqa.synthbench import make_benchmark, save_split
 
 # small: all of this file runs in about a second; a train or sweep run costs
-# about twice a report conversion, so those properties draw fewer examples
-REPORT_IO = settings(max_examples=100)
+# more than an eval, so those properties draw fewer examples
+EVAL_IO = settings(max_examples=100)
 TRAIN_IO = settings(max_examples=30)
 
 # what a corrupted number may read as: out of range, not finite, negative,
-# the wrong json type, or a count too large for float64 to hold exactly
+# the wrong type, or a count too large for float64 to hold exactly
 REPLACEMENTS = (b"1e400", b"NaN", b"Infinity", b"-1", b'"x"', b"[]", b"null", b"%d" % 2 ** 70)
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
-CONFIG = b"""# one file for train, sweep and report
+CONFIG = b"""# one file for train, eval and sweep
 variant = lpf
 gamma = 0, 2.5
 epochs = 2
@@ -49,15 +49,14 @@ def corruptions(draw, blob: bytes) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def sweep_report(tmp_path_factory):
-    """The directory of a two-gamma sweep report on toy splits, and its bytes."""
-    root = tmp_path_factory.mktemp("report_config_io")
+def toy_run(tmp_path_factory):
+    """A directory holding toy splits and a one-epoch checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("config_io")
     paths = [str(root / f"{name}.split") for name in ("train", "id_test", "ood_test")]
     for split, path in zip(make_benchmark(toy_benchmark_config()), paths):
         save_split(split, path)
-    assert main(["sweep", *paths, "--gamma", "0", "--gamma", "2", "--epochs", "1",
-                 "--out", str(root / "sweep.json")]) == 0
-    return root, (root / "sweep.json").read_bytes()
+    assert main(["train", paths[0], "--epochs", "1", "--out", str(root / "model.ckpt")]) == 0
+    return root
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -67,23 +66,14 @@ def run_quietly(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@REPORT_IO
+@EVAL_IO
 @given(data=st.data())
-def test_corrupted_report_is_converted_or_rejected_in_one_line(sweep_report, data):
-    root, blob = sweep_report
-    bad = root / "bad.json"
-    bad.write_bytes(data.draw(corruptions(blob), label="report"))
-    code, err = run_quietly(["report", str(bad), "--out", str(root / "out.csv")])
-    assert code == 0 or (code == 2 and err.count("\n") == 1), err
-
-
-@REPORT_IO
-@given(data=st.data())
-def test_corrupted_config_is_applied_or_rejected_in_one_line(sweep_report, data):
-    root, _ = sweep_report
+def test_corrupted_config_is_applied_or_rejected_in_one_line(toy_run, data):
+    root = toy_run
     bad = root / "bad.cfg"
     bad.write_bytes(data.draw(corruptions(CONFIG), label="config"))
-    code, err = run_quietly(["report", str(root / "sweep.json"), "--config", str(bad),
+    code, err = run_quietly(["eval", str(root / "model.ckpt"), str(root / "ood_test.split"),
+                             "--config", str(bad),
                              "--out", str(root / "out")])  # a corrupted out= never writes
     assert code == 0 or (code == 2 and err.count("\n") == 1), err
 
@@ -91,12 +81,12 @@ def test_corrupted_config_is_applied_or_rejected_in_one_line(sweep_report, data)
 @TRAIN_IO
 @given(data=st.data())
 @pytest.mark.parametrize("command", ["train", "sweep"])
-def test_corrupted_config_trains_or_is_rejected_in_one_line(sweep_report, command, data):
+def test_corrupted_config_trains_or_is_rejected_in_one_line(toy_run, command, data):
     """Every value is read before any work: a rejected file never reaches training.
 
     Training is a stub because a corrupted file may ask for 2**70 epochs.
     """
-    root, _ = sweep_report
+    root = toy_run
     blob = CONFIG if command == "sweep" else CONFIG.replace(b"0, 2.5", b"2.5")  # train: one gamma
     bad = root / "bad.cfg"
     bad.write_bytes(data.draw(corruptions(blob), label="config"))

@@ -296,6 +296,23 @@ def test_split_derives_qtypes_and_tokens_from_answers():
         Split(answers, features, build_priors(cfg)[0], "test", cfg, qtypes=split.qtypes)
 
 
+@pytest.mark.parametrize("answers, features, message", [
+    (np.arange(400) % 6, np.zeros((407, 4)), r"features must be an array of shape \(400, 4\), "
+                                            r"got float64 \(407, 4\)"),
+    (np.arange(400) % 6, np.zeros((393, 4)), r"features .* got float64 \(393, 4\)"),
+    (np.arange(400) % 6, np.zeros((400, 8)), r"features .* got float64 \(400, 8\)"),
+    (np.arange(400) % 6, np.zeros((400, 4)).tolist(), "features .* got list"),
+    (np.arange(400.0) % 6, np.zeros((400, 4)), "answers must be a 1-D integer array, got float64"),
+    (np.zeros((400, 1), dtype=np.int64), np.zeros((400, 4)), r"answers .* got int64 \(400, 1\)"),
+    ([0, 1], np.zeros((2, 4)), "answers .* got list"),
+], ids=["extra-rows", "missing-rows", "wide", "list-features", "float-answers", "2-d-answers",
+        "list-answers"])
+def test_split_rejects_misshapen_columns(answers, features, message):
+    cfg = small_config()
+    with pytest.raises(ConfigError, match=message):
+        Split(answers, features, build_priors(cfg)[0], "train", cfg)
+
+
 @pytest.mark.parametrize("table, message", [
     (np.full((1, 6), 1 / 6), r"prior table shape \(1, 6\), expected \(2, 6\)"),
     (np.full((2, 3), 1 / 3), r"prior table shape \(2, 3\), expected \(2, 6\)"),
