@@ -12,9 +12,9 @@ from conftest import toy_benchmark_config
 from debiasvqa import BenchmarkConfig, NumericalError, cli, harness
 from debiasvqa.cli import build_parser, load_config_file, main
 from debiasvqa.errors import DataFormatError
-from debiasvqa.harness import REPORT_CSV_COLUMNS
+from debiasvqa.harness import REPORT_CSV_COLUMNS, REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
-from debiasvqa.synthbench import make_benchmark, save_split
+from debiasvqa.synthbench import load_split, make_benchmark, save_split
 
 CONFIG_KEYS = set().union(*cli._flags(build_parser()).values())  # every subcommand's flags
 
@@ -66,6 +66,29 @@ def test_eval_to_stdout(pipeline, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert "report" in payload and "format_version" in payload
+
+
+def test_eval_payload_is_the_evaluate_report(pipeline, capsys):
+    assert main(["eval", str(pipeline / "model.ckpt"), str(pipeline / "ood_test.split")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["format_version"] == REPORT_FORMAT_VERSION
+    want = evaluate(load_checkpoint(pipeline / "model.ckpt"), load_split(pipeline / "ood_test.split"))
+    assert payload["report"] == want.to_dict()
+    assert payload["report"]["kl_to_train_prior"] is None  # eval is given no train priors
+
+
+def test_sweep_csv_writes_two_lines_per_gamma(tmp_path, capsys):
+    paths = [str(tmp_path / f"{name}.split") for name in ("train", "id_test", "ood_test")]
+    for split, path in zip(make_benchmark(toy_benchmark_config()), paths):
+        save_split(split, path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *paths, "--gamma", "0", "--gamma", "2", "--epochs", "1",
+                 "--format", "csv", "--out", str(out)]) == 0
+    assert f"wrote {out} (2 gamma rows, format csv)" in capsys.readouterr().out
+    lines = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert tuple(lines[0]) == REPORT_CSV_COLUMNS
+    assert [(float(line[0]), line[1]) for line in lines[1:]] == \
+        [(0.0, "id"), (0.0, "ood"), (2.0, "id"), (2.0, "ood")]
 
 
 def test_sweep_then_report(pipeline):

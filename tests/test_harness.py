@@ -1,7 +1,9 @@
 """Training loop, evaluation, sweeps, and report files."""
 import csv
 import hashlib
+import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import openblas_corename, toy_benchmark_config, toy_model_config
 from debiasvqa import (
     BenchmarkConfig,
+    EvalReport,
     LossVariant,
     PriorTable,
     Split,
@@ -35,6 +38,7 @@ from debiasvqa.cli import main, model_config_for
 from debiasvqa.errors import ConfigError, NumericalError
 from debiasvqa.harness import (
     REPORT_CSV_COLUMNS,
+    REPORT_FORMAT_VERSION,
     check_compatible,
     emit_report,
     epoch_order,
@@ -450,6 +454,96 @@ def test_report_csv_layout(tmp_path, sweep_rows):
     assert first[1] == "id" and parsed[2][1] == "ood"
     assert float(first[2]) == rows[0].id_report.overall_accuracy
     assert int(first[5]) == rows[0].id_report.sample_count
+
+
+def _no_constant(token):
+    raise ValueError(f"report holds the non-JSON constant {token}")
+
+
+def _read_json_report(path):
+    """A json report parsed strictly: NaN and +-Infinity are refused."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+
+def test_json_report_layout(tmp_path, sweep_rows):
+    rows, _ = sweep_rows
+    path = tmp_path / "report.json"
+    emit_report(rows, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    payload = _read_json_report(path)
+    assert sorted(payload) == ["format_version", "rows"]
+    assert payload["format_version"] == REPORT_FORMAT_VERSION
+    assert [row["gamma"] for row in payload["rows"]] == [r.gamma for r in rows]
+    for row in payload["rows"]:
+        assert sorted(row) == ["gamma", "id", "ood"]
+        for side in ("id", "ood"):
+            assert sorted(row[side]) == sorted(f.name for f in fields(EvalReport))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(EvalReport)])
+def test_json_report_keeps_every_field_exactly(tmp_path, sweep_rows, name):
+    rows, _ = sweep_rows
+    path = tmp_path / "report.json"
+    emit_report(rows, path)
+    for got, want in zip(_read_json_report(path)["rows"], rows):
+        for side, report in (("id", want.id_report), ("ood", want.ood_report)):
+            value = getattr(report, name)
+            if isinstance(value, np.ndarray):
+                written = np.asarray(got[side][name])
+                assert written.shape == value.shape
+                assert written.dtype.kind == value.dtype.kind  # counts stay integers
+                assert np.array_equal(written, value)
+            else:
+                assert isinstance(got[side][name], int) == isinstance(value, (int, np.integer))
+                assert got[side][name] == value
+
+
+# what each csv column holds, per (row, split name, report)
+_CSV_CELL = {
+    "gamma": lambda row, split, report: row.gamma,
+    "split": lambda row, split, report: split,
+    "overall_accuracy": lambda row, split, report: report.overall_accuracy,
+    "mean_kl_to_split_prior": lambda row, split, report: float(report.kl_to_split_prior.mean()),
+    "mean_kl_to_train_prior": lambda row, split, report: float(report.kl_to_train_prior.mean()),
+    "sample_count": lambda row, split, report: report.sample_count,
+}
+
+
+@pytest.mark.parametrize("column", REPORT_CSV_COLUMNS)
+def test_csv_report_cell_reads_back_exactly(tmp_path, sweep_rows, column):
+    rows, _ = sweep_rows
+    path = tmp_path / "report.csv"
+    emit_report(rows, path, format="csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    expected = [(row, split, report) for row in rows
+                for split, report in (("id", row.id_report), ("ood", row.ood_report))]
+    assert len(records) == len(expected)
+    for record, (row, split, report) in zip(records, expected):
+        want = _CSV_CELL[column](row, split, report)
+        cell = record[column]
+        assert (cell if isinstance(want, str) else type(want)(cell)) == want
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_report_without_train_priors_leaves_that_kl_empty(toy, tmp_path, format):
+    _, _, id_s, ood_s, mc = toy
+    params = init_params(mc)
+    row = SweepRow(gamma=0.0, id_report=evaluate(params, id_s), ood_report=evaluate(params, ood_s))
+    path = tmp_path / f"report.{format}"
+    emit_report([row], path, format=format)
+    if format == "json":
+        written = _read_json_report(path)["rows"][0]
+        assert written["id"]["kl_to_train_prior"] is None
+        assert written["ood"]["kl_to_train_prior"] is None
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["mean_kl_to_train_prior"] for r in records] == ["", ""]
+        assert [float(r["mean_kl_to_split_prior"]) for r in records] == \
+            [float(row.id_report.kl_to_split_prior.mean()),
+             float(row.ood_report.kl_to_split_prior.mean())]
 
 
 def test_report_rejects_unknown_format(tmp_path, sweep_rows):

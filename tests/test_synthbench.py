@@ -302,11 +302,12 @@ def test_split_derives_qtypes_and_tokens_from_answers():
     (np.arange(400) % 6, np.zeros((393, 4)), r"features .* got float64 \(393, 4\)"),
     (np.arange(400) % 6, np.zeros((400, 8)), r"features .* got float64 \(400, 8\)"),
     (np.arange(400) % 6, np.zeros((400, 4)).tolist(), "features .* got list"),
+    (np.arange(400) % 6, np.zeros(400), r"features .* got float64 \(400,\)"),
     (np.arange(400.0) % 6, np.zeros((400, 4)), "answers must be a 1-D integer array, got float64"),
     (np.zeros((400, 1), dtype=np.int64), np.zeros((400, 4)), r"answers .* got int64 \(400, 1\)"),
     ([0, 1], np.zeros((2, 4)), "answers .* got list"),
-], ids=["extra-rows", "missing-rows", "wide", "list-features", "float-answers", "2-d-answers",
-        "list-answers"])
+], ids=["extra-rows", "missing-rows", "wide", "list-features", "1-d-features", "float-answers",
+        "2-d-answers", "list-answers"])
 def test_split_rejects_misshapen_columns(answers, features, message):
     cfg = small_config()
     with pytest.raises(ConfigError, match=message):
