@@ -31,7 +31,7 @@ train_split, id_test, ood_test = make_benchmark(config)
 
 print("= fixed templates, disjoint vocabulary =")
 for q in (0, 1):
-    print(f"  qtype {q}: tokens {question_template(q, config)}, "
+    print(f"  qtype {q}: tokens {tuple(question_template(q, config).tolist())}, "
           f"answers {list(answer_block(q, config))}")
 
 print("\n= train priors vs shifted test priors (qtype 0) =")

@@ -73,10 +73,6 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._softmax: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def detach(self) -> "Tensor":
         """Forward-identity node with no parents: a hard gradient barrier.
 

@@ -6,13 +6,13 @@ the question-only head assigns to the true answer.  Samples the question
 alone already answers get alpha near 1 and are down-weighted toward zero;
 samples that need the image keep weight near 1.
 
-:func:`batch_objective`, which trains, composes the public primitives the
-gradient tests also build on: :func:`variant_alpha`, :func:`lpf_loss`
-and :func:`qo_loss` read each head's one ``softmax_parts``, and
-:func:`total_loss` sums the two losses.  :func:`variant_alpha` is the one
-place alpha is picked: the question-only head for ce and lpf, the main
-head's own prediction for focal (the multi-class focal rule), and a
-per-question-type answer table for precomputed.
+:func:`batch_objective`, which trains, calls :func:`variant_alpha`,
+:func:`beta` and ``weighted_cross_entropy`` (the body of :func:`lpf_loss`;
+the weights go into the record), :func:`qo_loss` and :func:`total_loss`.
+:func:`variant_alpha` is the one place alpha is picked: the question-only
+head for ce and lpf, the main head's own prediction for focal (the
+multi-class focal rule), and a per-question-type answer table for
+precomputed.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ class LossVariant:
 
     @classmethod
     def ce(cls) -> "LossVariant":
-        return cls(VariantKind.CE, 0.0)
+        return cls(VariantKind.CE)
 
     @classmethod
     def lpf(cls, gamma: float) -> "LossVariant":
@@ -68,11 +68,11 @@ class LossVariant:
 
     @classmethod
     def focal(cls) -> "LossVariant":
-        return cls(VariantKind.FOCAL, 1.0)
+        return cls(VariantKind.FOCAL)
 
     @classmethod
     def precomputed(cls) -> "LossVariant":
-        return cls(VariantKind.PRECOMPUTED, 1.0)
+        return cls(VariantKind.PRECOMPUTED)
 
 
 @dataclass
@@ -98,25 +98,18 @@ def alpha_from_qo(logits_qo: Tensor, targets) -> np.ndarray:
 
 
 def beta(alpha, gamma: float):
-    """Modulating weight (1 - alpha)^gamma; 1 when gamma is 0."""
+    """Modulating weight (1 - alpha)^gamma, of alpha's shape; 1 when gamma is 0."""
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     a = np.asarray(alpha, dtype=np.float64)
     if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got range [{a.min()}, {a.max()}]")
-    out = np.power(1.0 - a, gamma)
-    return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
+    return np.power(1.0 - a, gamma)
 
 
 def lpf_loss(logits_vqa: Tensor, targets, alpha, gamma: float) -> Tensor:
     """Reweighted classification loss with constant per-sample weights."""
-    return _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma)[0]
-
-
-def _lpf_loss_and_weights(logits_vqa, targets, alpha, gamma):
-    """:func:`lpf_loss` and the weights beta(alpha, gamma) it applied."""
-    weights = np.atleast_1d(np.asarray(beta(alpha, gamma), dtype=np.float64))
-    return weighted_cross_entropy(logits_vqa, targets, weights), weights
+    return weighted_cross_entropy(logits_vqa, targets, beta(alpha, gamma))
 
 
 def qo_loss(logits_qo: Tensor, targets) -> Tensor:
@@ -187,7 +180,8 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     # the question-only loss goes first: it checks the targets alpha is read at
     l_qo = qo_loss(logits_qo, t)
     alpha = variant_alpha(variant.kind, t, logits_vqa, logits_qo, priors, qtype_ids)
-    l_lpf, weights = _lpf_loss_and_weights(logits_vqa, t, alpha, variant.gamma)
+    weights = beta(alpha, variant.gamma)
+    l_lpf = weighted_cross_entropy(logits_vqa, t, weights)
     total = total_loss(l_lpf, l_qo)
     record = BatchLossRecord(
         alpha=alpha,

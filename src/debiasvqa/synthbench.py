@@ -112,14 +112,22 @@ def _describe(column) -> str:
     return f"{column.dtype} {column.shape}" if isinstance(column, np.ndarray) else type(column).__name__
 
 
+class _SampleError(ConfigError):
+    """Sample ``row`` of a Split breaks the column rule ``rule``."""
+
+    def __init__(self, row: int, rule: str):
+        super().__init__(f"sample {row}: {rule}")
+        self.row, self.rule = row, rule
+
+
 @dataclass(eq=False)
 class Split:
     """A split as row-aligned columns over its N samples.
 
-    ``answers`` [N] holds int64 answer ids and ``features`` [N, v_in_dim]
-    the float64 visual features.  ``qtypes`` [N] (``answers //
-    answers_per_qtype``) and ``tokens`` [N, T] (each row's question
-    template) follow from the answers.  Row i of every column is sample i.
+    ``answers`` [N] holds int64 answer ids in [0, num_answers) and ``features``
+    [N, v_in_dim] finite float64 visual features.  ``qtypes`` [N] (answer //
+    answers_per_qtype) and ``tokens`` [N, T] (each row's question template)
+    follow from the answers.  Row i of every column is sample i.
     """
     answers: np.ndarray
     features: np.ndarray
@@ -139,8 +147,12 @@ class Split:
         if not (isinstance(self.features, np.ndarray) and self.features.shape == want):
             raise ConfigError(f"features must be an array of shape {want}, got {_describe(self.features)}")
         _check_priors(self.priors, self.config)
+        for bad, rule in (((self.answers < 0) | (self.answers >= self.num_answers), "answer {} out of range"),
+                          (~np.isfinite(self.features), "non-finite visual feature")):
+            if bad.any():
+                raise _SampleError(i := int(np.nonzero(bad)[0][0]), rule.format(self.answers[i]))
         self.qtypes = self.answers // self.config.answers_per_qtype
-        self.tokens = _templates(self.qtypes, self.config)
+        self.tokens = question_template(self.qtypes, self.config)
 
     @property
     def num_qtypes(self) -> int:
@@ -154,16 +166,10 @@ class Split:
         return len(self.answers)
 
 
-def question_template(qtype_id: int, config: BenchmarkConfig) -> tuple[int, ...]:
-    """Fixed token ids for a question type; disjoint across types."""
-    base = qtype_id * config.tokens_per_question
-    return tuple(range(base, base + config.tokens_per_question))
-
-
-def _templates(qtypes: np.ndarray, config: BenchmarkConfig) -> np.ndarray:
-    """Row i is ``question_template(qtypes[i], config)``: [N] -> [N, T]."""
+def question_template(qtypes, config: BenchmarkConfig) -> np.ndarray:
+    """Token ids of each question type's fixed template, disjoint across types: [...] -> [..., T]."""
     t = config.tokens_per_question
-    return qtypes[:, None] * t + np.arange(t)
+    return np.asarray(qtypes)[..., None] * t + np.arange(t)
 
 
 def answer_block(qtype_id: int, config: BenchmarkConfig) -> range:
@@ -354,21 +360,19 @@ def load_split(path) -> Split:
     ids, features = _read_rows(path, lines[1:], t, config.v_in_dim)
     try:
         split = Split(ids[:, 1 + t].copy(), features.copy(), priors, header["role"], config)
+    except _SampleError as exc:
+        raise DataFormatError(f"{path}: line {exc.row + 2}: {exc.rule}") from None
     except ConfigError as exc:
         raise DataFormatError(f"{path}: line 1: {exc}") from None
-    qtypes, tokens, answers, features = ids[:, 0], ids[:, 1:1 + t], split.answers, split.features
-    checks = (((qtypes < 0) | (qtypes >= config.num_qtypes), "qtype {q} out of range"),
-              ((answers < 0) | (answers >= config.num_answers), "answer {a} out of range"),
-              (~np.isfinite(features).all(axis=1), "non-finite visual feature"),
-              ((tokens != _templates(qtypes, config)).any(axis=1),
+    qtypes, tokens = ids[:, 0], ids[:, 1:1 + t]
+    checks = (((qtypes < 0) | (qtypes >= config.num_qtypes), "qtype {} out of range"),
+              ((tokens != question_template(qtypes, config)).any(axis=1),
                "tokens are not their question type's template"),
-              (answers // config.answers_per_qtype != qtypes,
-               "answer outside its question type's block"))
+              (split.qtypes != qtypes, "answer outside its question type's block"))
     for bad, what in checks:
         if bad.any():
             i = int(np.argmax(bad))
-            raise DataFormatError(
-                f"{path}: line {i + 2}: " + what.format(q=qtypes[i], a=answers[i]))
+            raise DataFormatError(f"{path}: line {i + 2}: " + what.format(qtypes[i]))
     return split
 
 

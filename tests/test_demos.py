@@ -17,6 +17,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    # -W error: pytest's own warning filter does not reach the subprocess
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -468,17 +468,21 @@ def test_batch_objective_gradients_equal_the_gated_composition(default_benchmark
     targets, qtypes = train_split.answers[idx], train_split.qtypes[idx]
     priors = build_prior_table(train_split)
 
+    seen = {}
+
     def composed(logits_vqa, logits_qo):
         if head is None:
             alpha = variant_alpha(variant.kind, targets, priors=priors, qtype_ids=qtypes)
         else:
             alpha = alpha_from_qo(logits_vqa if head == "vqa" else logits_qo, targets)
-        return total_loss(lpf_loss(logits_vqa, targets, alpha, gamma),
-                          qo_loss(logits_qo, targets))
+        l_lpf = lpf_loss(logits_vqa, targets, alpha, gamma)
+        seen.update(beta=beta(alpha, gamma), lpf=float(l_lpf.data))
+        return total_loss(l_lpf, qo_loss(logits_qo, targets))
 
     def trained(logits_vqa, logits_qo):
-        return batch_objective(logits_vqa, logits_qo, targets, variant,
-                               priors=priors, qtype_ids=qtypes)[0]
+        total, seen["record"] = batch_objective(logits_vqa, logits_qo, targets, variant,
+                                                priors=priors, qtype_ids=qtypes)
+        return total
 
     results = []
     for objective in (trained, composed):
@@ -491,3 +495,8 @@ def test_batch_objective_gradients_equal_the_gated_composition(default_benchmark
     assert got_loss == want_loss
     for name in params.names():
         assert np.array_equal(got[name], want[name]), name
+    # the record logs what the gate functions compute, bit for bit
+    record = seen["record"]
+    assert record.beta.dtype == seen["beta"].dtype
+    assert record.beta.tobytes() == seen["beta"].tobytes()
+    assert record.lpf == seen["lpf"]

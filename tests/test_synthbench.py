@@ -205,8 +205,12 @@ def test_samples_respect_templates_and_blocks():
     for split in (train, id_test, ood_test):
         assert split.features.shape == (len(split), cfg.v_in_dim)
         for q, tokens, a in zip(split.qtypes, split.tokens, split.answers):
-            assert tuple(tokens) == question_template(q, cfg)
+            assert np.array_equal(tokens, question_template(q, cfg))
+            assert np.array_equal(tokens, question_template(int(q), cfg))
             assert a in answer_block(q, cfg)
+        # the whole column at once: [N] -> [N, T], row for row
+        assert np.array_equal(question_template(split.qtypes, cfg), split.tokens)
+    assert question_template(np.array([[1], [0]]), cfg).tolist() == [[[2, 3]], [[0, 1]]]
 
 
 def test_generation_is_deterministic():
@@ -311,6 +315,20 @@ def test_split_derives_qtypes_and_tokens_from_answers():
 def test_split_rejects_misshapen_columns(answers, features, message):
     cfg = small_config()
     with pytest.raises(ConfigError, match=message):
+        Split(answers, features, build_priors(cfg)[0], "train", cfg)
+
+
+@pytest.mark.parametrize("answer, feature, message", [
+    (6, 0.0, "sample 2: answer 6 out of range"),  # small_config has 6 answers
+    (-1, 0.0, "sample 2: answer -1 out of range"),
+    (0, np.nan, "sample 2: non-finite visual feature"),
+    (0, np.inf, "sample 2: non-finite visual feature"),
+], ids=["answer-num-answers", "answer-negative", "nan-feature", "inf-feature"])
+def test_split_rejects_rows_no_consumer_can_use(answer, feature, message):
+    cfg = small_config()
+    answers, features = np.arange(8) % cfg.num_answers, np.zeros((8, cfg.v_in_dim))
+    answers[[2, 6]], features[[2, 6], 1] = answer, feature  # the first bad sample is named
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         Split(answers, features, build_priors(cfg)[0], "train", cfg)
 
 
