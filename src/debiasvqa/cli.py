@@ -6,12 +6,8 @@ checkpoint on a split, ``sweep`` trains one model per gamma and writes a
 json or csv report.
 
 :func:`build_parser` declares each flag's type, choices and default
-once.  A ``--config`` file of ``key=value`` lines may set any flag of
-any subcommand (without the dashes; any other key is an error); the
-running subcommand reads its keys through those declarations before any
-work, a repeatable flag as a comma list.  An explicit flag wins over the
-file, the file over the default.  Exit codes: 0 success, 1 usage error,
-2 data or format error, 3 numerical failure.
+once.  Exit codes: 0 success, 1 usage error, 2 data or format error,
+3 numerical failure.
 """
 from __future__ import annotations
 
@@ -20,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataFormatError, NumericalError, read_text
+from .errors import ConfigError, NumericalError
 from .harness import (
     REPORT_FORMAT_VERSION,
     TrainConfig,
@@ -42,22 +38,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Repeat(argparse.Action):
-    """A repeatable flag whose first use replaces the default list, which may come from a file."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        values = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, [*([] if values is self.default else values), value])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="debiasvqa",
                      description="Bias-aware VQA training on a synthetic changing-priors benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value file mirroring the flags; flags override")
-        p.add_argument("--out")
 
     def training_flags(p):
         p.add_argument("--seed", type=int, default=0)
@@ -66,12 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
 
     p = sub.add_parser("gen", help="generate train/id-test/ood-test split files")
-    common(p)
+    p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train on a split file, write a checkpoint")
     p.add_argument("split", help="training split file")
-    common(p)
+    p.add_argument("--out")
     p.add_argument("--variant", choices=[k.value for k in VariantKind], default="ce")
     p.add_argument("--gamma", type=float, default=1.0, help="lpf only; ce uses 0, focal 1, precomputed 1")
     training_flags(p)
@@ -79,59 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a split file")
     p.add_argument("checkpoint")
     p.add_argument("split")
-    common(p)
+    p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="train one model per gamma, write a report")
     p.add_argument("train_split")
     p.add_argument("id_split")
     p.add_argument("ood_split")
-    common(p)
-    p.add_argument("--gamma", type=float, action=_Repeat, default=[],
+    p.add_argument("--out")
+    p.add_argument("--gamma", type=float, action="append", default=[],
                    help="repeatable; at least one value required")
     training_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
-
-
-def _flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
-    """Per subcommand, its ``--flag`` actions keyed without the dashes, except --help and --config."""
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.option_strings[-1][2:]: a for a in p._actions
-                   if a.option_strings and a.dest not in ("help", "config")}
-            for name, p in subcommands.choices.items()}
-
-
-def load_config_file(path, keys) -> dict[str, str]:
-    """Parse ``key=value`` lines; '#' comments and blank lines allowed.
-
-    A key not in ``keys`` (every subcommand's flags) is an error, so one
-    file can drive several subcommands but a misspelt key is never ignored.
-    """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise DataFormatError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def _read_value(key: str, action: argparse.Action, text: str):
-    """A file value read by its flag's type and choices; a repeatable flag reads a comma list."""
-    texts = [t for t in text.split(",") if t.strip()] if isinstance(action, _Repeat) else [text]
-    try:
-        values = [(action.type or str)(t) for t in texts]
-    except ValueError as exc:
-        raise DataFormatError(f"config key {key!r}: {exc}") from None
-    for value in values:
-        if action.choices is not None and value not in action.choices:
-            raise DataFormatError(f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}")
-    return values if isinstance(action, _Repeat) else values[0]
 
 
 def model_config_for(bench: BenchmarkConfig, seed: int) -> ModelConfig:
@@ -195,7 +138,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if not args.gamma:
-        raise ConfigError("sweep needs at least one --gamma (or gamma= in the config file)")
+        raise ConfigError("sweep needs at least one --gamma")
     splits = tuple(load_split(path) for path in (args.train_split, args.id_split, args.ood_split))
     base = _train_config(args, splits[0].config, LossVariant.ce())  # each gamma replaces it
     rows = sweep_gamma(args.gamma, base, splits)
@@ -208,21 +151,13 @@ _COMMANDS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval, "sweep": _
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if args.config:  # file values become the flags' defaults, so explicit flags still win
-            every = _flags(parser)
-            flags = every[args.command]
-            for key, text in load_config_file(args.config, set().union(*every.values())).items():
-                if key in flags:
-                    flags[key].default = _read_value(key, flags[key], text)
-            args = parser.parse_args(argv)
         if args.out is None and args.command != "eval":
-            raise ConfigError(f"{args.command} needs --out (or out= in the config file)")
+            raise ConfigError(f"{args.command} needs --out")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)

@@ -144,8 +144,11 @@ class Split:
                 and np.issubdtype(self.answers.dtype, np.integer)):
             raise ConfigError(f"answers must be a 1-D integer array, got {_describe(self.answers)}")
         want = (len(self.answers), self.config.v_in_dim)
-        if not (isinstance(self.features, np.ndarray) and self.features.shape == want):
-            raise ConfigError(f"features must be an array of shape {want}, got {_describe(self.features)}")
+        if not (isinstance(self.features, np.ndarray) and self.features.shape == want
+                and (np.issubdtype(self.features.dtype, np.integer)
+                     or np.issubdtype(self.features.dtype, np.floating))):
+            raise ConfigError(f"features must be an integer or float array of shape {want}, "
+                              f"got {_describe(self.features)}")
         _check_priors(self.priors, self.config)
         for bad, rule in (((self.answers < 0) | (self.answers >= self.num_answers), "answer {} out of range"),
                           (~np.isfinite(self.features), "non-finite visual feature")):

@@ -81,6 +81,10 @@ def test_linear_shape_mismatch_rejected():
     w = Parameter(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         linear(x, w)
+    with pytest.raises(ShapeError, match="expects 2-D input"):
+        linear(Tensor(np.zeros(3)), Parameter(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="bias shape"):
+        linear(x, Parameter(np.zeros((3, 2))), Parameter(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +345,23 @@ def test_backward_requires_scalar():
     t = linear(Tensor(np.ones((2, 2))), Parameter(np.ones((2, 2))))
     with pytest.raises(ShapeError):
         t.backward()
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: add(Tensor(np.zeros(2)), Tensor(np.zeros(3))), r"add: shapes \(2,\) and \(3,\) differ"),
+    (lambda: embedding_mean(Parameter(np.zeros(4)), np.zeros((1, 2), dtype=np.int64)),
+     r"embedding_mean expects a 2-D table, got \(4,\)"),
+    (lambda: weighted_cross_entropy(Tensor(np.zeros(3)), [0], np.ones(1)),
+     r"weighted_cross_entropy expects \[B, C\] logits, got \(3,\)"),
+    (lambda: weighted_cross_entropy(Tensor(np.zeros((2, 3))), [0], np.ones(2)),
+     "targets length 1 does not match batch 2"),
+    (lambda: weighted_cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], np.ones(3)),
+     r"weights shape \(3,\) does not match batch \(2,\)"),
+], ids=["add-shapes", "embedding-1-d-table", "wce-1-d-logits", "wce-targets-length",
+        "wce-weights-shape"])
+def test_op_rejects_mismatched_shapes(op, message):
+    with pytest.raises(ShapeError, match=message):
+        op()
 
 
 # ---------------------------------------------------------------------------

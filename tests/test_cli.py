@@ -1,22 +1,19 @@
 """End-to-end CLI pipeline and exit-code contract."""
-import argparse
 import json
 import math
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import toy_benchmark_config
-from debiasvqa import BenchmarkConfig, NumericalError, cli, harness
-from debiasvqa.cli import build_parser, load_config_file, main
-from debiasvqa.errors import DataFormatError
+from debiasvqa import BenchmarkConfig, NumericalError, Tensor, harness
+from debiasvqa.cli import main
 from debiasvqa.harness import REPORT_CSV_COLUMNS, REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
 from debiasvqa.synthbench import load_split, make_benchmark, save_split
-
-CONFIG_KEYS = set().union(*cli._flags(build_parser()).values())  # every subcommand's flags
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +108,11 @@ def test_usage_errors_exit_one(capsys):
     assert main(["train"]) == 1
     assert main(["gen", "--bogus"]) == 1
     assert main(["sweep", "t.split", "i.split", "o.split", "--format", "xml"]) == 1
+    assert main(["train", "t.split", "--config", "x.cfg"]) == 1
     assert main(["report", "x.json"]) == 1  # no such subcommand
-    assert "invalid choice: 'report'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --config x.cfg" in err
+    assert "invalid choice: 'report'" in err
 
 
 def test_only_gen_train_and_sweep_take_a_seed(capsys):
@@ -154,6 +154,26 @@ def test_numerical_failure_exits_three(pipeline, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
     assert rc == 3
     assert "numerical" in capsys.readouterr().err
+
+
+def test_loss_past_float_range_exits_three(pipeline, tmp_path, monkeypatch, capsys):
+    """Finite question-only logits that span more than DBL_MAX give an
+    infinite loss, which the loss guard reports without a numpy warning."""
+    real_forward = harness.forward_batch
+
+    def spanning(params, tokens, features):
+        logits_vqa, logits_qo = real_forward(params, tokens, features)
+        wide = np.zeros_like(logits_qo.data)
+        wide[:, 0], wide[:, 1] = 1e308, -1e308
+        return logits_vqa, Tensor(wide)
+    monkeypatch.setattr(harness, "forward_batch", spanning)
+    out = tmp_path / "m.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", str(pipeline / "train.split"), "--out", str(out), "--epochs", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite loss inf at epoch 0, step 0\n"
+    assert not out.exists()
 
 
 def test_non_finite_parameter_exits_three(pipeline, tmp_path, monkeypatch, capsys):
@@ -384,93 +404,6 @@ def test_overflowing_learning_rate_exits_three(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# a comment\n\nepochs = 3\nvariant=lpf  # inline\ngamma=2.5\n")
-    assert load_config_file(cfg, CONFIG_KEYS) == {"epochs": "3", "variant": "lpf", "gamma": "2.5"}
-
-
-def test_config_file_rejects_bad_line(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epochs\n")
-    with pytest.raises(DataFormatError, match="line 1"):
-        load_config_file(cfg, CONFIG_KEYS)
-
-
-def test_config_file_drives_training(pipeline, tmp_path):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("variant=lpf\ngamma=3.0\nepochs=1\n")
-    ckpt = tmp_path / "cfg.ckpt"
-    rc = main(["train", str(pipeline / "train.split"),
-               "--config", str(cfg), "--out", str(ckpt)])
-    assert rc == 0
-    log = json.loads((tmp_path / "cfg.ckpt.runlog.json").read_text())
-    assert log["gamma"] == 3.0 and len(log["epochs"]) == 1
-
-
-def test_flags_override_config_file(pipeline, tmp_path):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("variant=lpf\ngamma=3.0\nepochs=1\n")
-    ckpt = tmp_path / "o.ckpt"
-    rc = main(["train", str(pipeline / "train.split"),
-               "--config", str(cfg), "--out", str(ckpt), "--gamma", "5"])
-    assert rc == 0
-    log = json.loads((tmp_path / "o.ckpt.runlog.json").read_text())
-    assert log["gamma"] == 5.0
-
-
-def test_config_file_gamma_list_for_sweep(pipeline, tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("gamma=0,1.5\nepochs=1\n")
-    out = tmp_path / "sweep.json"
-    rc = main(["sweep", str(pipeline / "train.split"), str(pipeline / "id_test.split"),
-               str(pipeline / "ood_test.split"), "--config", str(cfg),
-               "--out", str(out)])
-    assert rc == 0
-    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
-    assert [row["gamma"] for row in rows] == [0.0, 1.5]
-    capsys.readouterr()
-
-
-def test_config_file_unknown_key_exits_two(pipeline, tmp_path, capsys):
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("variant=lpf\n# one epoch\nepoch=1\n")
-    rc = main(["train", str(pipeline / "train.split"),
-               "--config", str(cfg), "--out", str(tmp_path / "t.ckpt")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{cfg}: line 3: unknown key 'epoch'" in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "t.ckpt").exists()
-
-
-def test_one_config_file_drives_train_and_sweep(pipeline, tmp_path, capsys):
-    cfg = tmp_path / "both.cfg"
-    cfg.write_text("variant=lpf\ngamma=2\nepochs=1\nformat=csv\nseed=3\n")
-    ckpt, report = tmp_path / "both.ckpt", tmp_path / "both.csv"
-    assert main(["train", str(pipeline / "train.split"),
-                 "--config", str(cfg), "--out", str(ckpt)]) == 0
-    assert json.loads((tmp_path / "both.ckpt.runlog.json").read_text())["gamma"] == 2.0
-    assert main(["sweep", str(pipeline / "train.split"), str(pipeline / "id_test.split"),
-                 str(pipeline / "ood_test.split"), "--config", str(cfg), "--gamma", "0",
-                 "--out", str(report)]) == 0
-    assert report.read_text().splitlines()[0] == ",".join(REPORT_CSV_COLUMNS)
-    capsys.readouterr()
-
-
-def test_config_file_bad_number_exits_two(pipeline, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epochs=three\n")
-    rc = main(["train", str(pipeline / "train.split"),
-               "--config", str(cfg), "--out", str(tmp_path / "b.ckpt")])
-    assert rc == 2
-    assert "epochs" in capsys.readouterr().err
-
-
 def _with_byte_e6(path, dst, lineno):
     """A copy of ``path`` whose line ``lineno`` starts with the lone byte 0xe6."""
     lines = path.read_bytes().split(b"\n")
@@ -479,127 +412,28 @@ def _with_byte_e6(path, dst, lineno):
     return dst
 
 
-@pytest.mark.parametrize("kind", ["split", "config"])
-def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys, kind):
-    if kind == "split":
-        bad = _with_byte_e6(pipeline / "ood_test.split", tmp_path / "bad.split", 3)
-        argv = ["eval", str(pipeline / "model.ckpt"), str(bad)]
-    else:
-        (tmp_path / "good.cfg").write_text("# seed for gen\nseed=1\n")
-        bad = _with_byte_e6(tmp_path / "good.cfg", tmp_path / "bad.cfg", 3)
-        argv = ["gen", "--config", str(bad), "--out", str(tmp_path / "gen")]
-    assert main(argv) == 2
+def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys):
+    bad = _with_byte_e6(pipeline / "ood_test.split", tmp_path / "bad.split", 3)
+    assert main(["eval", str(pipeline / "model.ckpt"), str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: line 3: not UTF-8 text" in err
     assert err.count("\n") == 1
-
-
-# ---------------------------------------------------------------------------
-# one declaration per flag: a --config key reads as its subcommand's flag
-# ---------------------------------------------------------------------------
-
-SUBCOMMANDS = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices
-FLAGS = {(command, a.option_strings[-1][2:]): a for command, p in SUBCOMMANDS.items()
-         for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
-
-
-def _texts(action):
-    """A text the flag reads to a value other than its default, a second text it
-    reads, and one it cannot read (None when it reads any text)."""
-    if action.choices is not None:
-        first = next(c for c in action.choices if c != action.default)
-        return first, next(c for c in action.choices if c != first), "bogus"
-    return {int: ("7", "9", "1.5"), float: ("0.5", "0.25", "x"),
-            None: ("a.out", "b.out", None)}[action.type]
-
-
-def _argv(command, *args):
-    """``command`` with a placeholder for each positional, then ``args``."""
-    return [command, *(a.dest for a in SUBCOMMANDS[command]._actions if not a.option_strings),
-            *args]
-
-
-def _resolve(monkeypatch, command, key, flags, cfg=None):
-    """The arguments ``command`` runs with; the command itself is replaced."""
-    seen = []
-    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
-    out = [] if key == "out" else ["--out", "o"]
-    assert main(_argv(command, *flags, *out, *(["--config", str(cfg)] if cfg else []))) == 0
-    return {k: v for k, v in seen[0].items() if k != "config"}
-
-
-def _config(tmp_path, key, texts):
-    cfg = tmp_path / "flags.cfg"
-    cfg.write_text(f"{key} = {','.join(texts)}\n")
-    return cfg
-
-
-def _as_flags(key, texts):
-    return [arg for text in texts for arg in (f"--{key}", text)]
-
-
-@pytest.mark.parametrize("command, key", FLAGS)
-def test_config_value_resolves_as_its_flag(monkeypatch, tmp_path, command, key):
-    action = FLAGS[command, key]
-    first, second, _ = _texts(action)
-    texts = [first, second] if isinstance(action, cli._Repeat) else [first]  # a comma list
-    from_flags = _resolve(monkeypatch, command, key, _as_flags(key, texts))
-    assert from_flags[action.dest] != action.default
-    assert _resolve(monkeypatch, command, key, [], _config(tmp_path, key, texts)) == from_flags
-
-
-@pytest.mark.parametrize("command, key", FLAGS)
-def test_explicit_flag_beats_config_value(monkeypatch, tmp_path, command, key):
-    action = FLAGS[command, key]
-    first, second, _ = _texts(action)
-    file_texts = [first, first] if isinstance(action, cli._Repeat) else [first]
-    flag_only = _resolve(monkeypatch, command, key, _as_flags(key, [second]))
-    assert _resolve(monkeypatch, command, key, _as_flags(key, [second]),
-                    _config(tmp_path, key, file_texts)) == flag_only
 
 
 def _never(*args, **kwargs):
     raise AssertionError("work started before the input was checked")
 
 
-@pytest.mark.parametrize("command, key", [case for case, action in FLAGS.items()
-                                          if _texts(action)[2] is not None])
-def test_unreadable_config_value_exits_two_before_any_work(monkeypatch, tmp_path, capsys,
-                                                           command, key):
-    for name in ("load_split", "make_benchmark", "load_checkpoint", "train", "sweep_gamma"):
-        monkeypatch.setattr(cli, name, _never)
-    monkeypatch.setattr(harness, "train", _never)
-    out = tmp_path / "out"
-    cfg = _config(tmp_path, key, [_texts(FLAGS[command, key])[2]])
-    assert main(_argv(command, "--config", str(cfg), "--out", str(out))) == 2
-    err = capsys.readouterr().err
-    assert f"config key {key!r}: " in err
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_config_variant_outside_choices_names_the_choices(tmp_path, capsys):
-    cfg = tmp_path / "v.cfg"
-    cfg.write_text("variant = bogus\n")
-    assert main(["train", "t.split", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
-    assert capsys.readouterr().err == \
-        "error: config key 'variant': 'bogus' is not one of ce, lpf, focal, precomputed\n"
-
-
 @pytest.mark.parametrize("variant", ["ce", "focal", "precomputed"])
 def test_train_reads_gamma_for_every_variant(pipeline, tmp_path, capsys, variant):
     """ce runs at gamma 0 and focal and precomputed at 1, but a gamma they
-    ignore must still be a readable, finite one."""
-    cfg = tmp_path / "shared.cfg"
-    cfg.write_text("gamma = 0, 2.5\n")  # a sweep's list
-    split, out = str(pipeline / "train.split"), tmp_path / "m.ckpt"
-    for extra, message in ((["--gamma", "nan"], "gamma must be finite"),
-                           (["--config", str(cfg)], "config key 'gamma': ")):
-        assert main(["train", split, "--variant", variant, "--out", str(out), *extra]) == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert err.count("\n") == 1
+    ignore must still be a finite one."""
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(pipeline / "train.split"), "--variant", variant,
+                 "--out", str(out), "--gamma", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "gamma must be finite" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from debiasvqa import (
 from debiasvqa.autodiff import grad_check, linear
 from debiasvqa.errors import ConfigError, DataFormatError, ShapeError
 from debiasvqa.model import (
+    VqaModelParams,
     encode_question,
     encode_visual,
     predict_qo,
@@ -70,6 +71,21 @@ def test_model_config_rejects_bad_dims():
         ModelConfig(vocab_size=0, num_answers=4)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=4, num_answers=1)
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda tensors: tensors.pop("qo_b3"), ConfigError,
+     r"parameter set mismatch: missing=\['qo_b3'\], extra=\[\]"),
+    (lambda tensors: tensors.update(qo_b3=tensors["qo_b3"][:-1]), ShapeError,
+     r"parameter qo_b3: expected shape \(\d+,\), got \(\d+,\)"),
+], ids=["missing-tensor", "wrong-shape"])
+def test_params_reject_tensors_that_break_the_config(edit, error, message):
+    config = toy_model_config(seed=0)
+    params = init_params(config)
+    tensors = {name: params[name].data for name in params.names()}
+    edit(tensors)
+    with pytest.raises(error, match=message):
+        VqaModelParams(config, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +319,11 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+    save_checkpoint(init_params(toy_model_config(seed=15)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + blob[12:])  # the version after the magic
+    with pytest.raises(DataFormatError, match="unsupported checkpoint version 2"):
         load_checkpoint(path)
 
 

@@ -94,6 +94,8 @@ def test_prior_table_rejects_negative_and_unnormalized():
         PriorTable([[0.6, 0.5]])
     with pytest.raises(ValueError, match="negative or NaN"):
         PriorTable([[np.nan, 1.0]])
+    with pytest.raises(ShapeError, match="prior table must be 2-D"):
+        PriorTable([0.5, 0.5])
 
 
 def test_prior_table_missing_row_rejected():
@@ -126,6 +128,12 @@ def test_alpha_direct_arithmetic():
 def test_alpha_rejects_bad_target():
     with pytest.raises(ShapeError):
         alpha_from_qo(Tensor(np.zeros((1, 3))), [3])
+    with pytest.raises(ShapeError, match="targets must be 1-D"):
+        alpha_from_qo(Tensor(np.zeros((1, 3))), [[0]])
+    with pytest.raises(ShapeError, match="targets must be integers"):
+        alpha_from_qo(Tensor(np.zeros((1, 3))), [0.0])
+    with pytest.raises(ShapeError, match=r"expected \[B, A\] logits"):
+        alpha_from_qo(Tensor(np.zeros(3)), [0])
 
 
 def test_alpha_is_detached():

@@ -301,17 +301,22 @@ def test_split_derives_qtypes_and_tokens_from_answers():
 
 
 @pytest.mark.parametrize("answers, features, message", [
-    (np.arange(400) % 6, np.zeros((407, 4)), r"features must be an array of shape \(400, 4\), "
-                                            r"got float64 \(407, 4\)"),
+    (np.arange(400) % 6, np.zeros((407, 4)), r"features must be an integer or float array of "
+                                            r"shape \(400, 4\), got float64 \(407, 4\)"),
     (np.arange(400) % 6, np.zeros((393, 4)), r"features .* got float64 \(393, 4\)"),
     (np.arange(400) % 6, np.zeros((400, 8)), r"features .* got float64 \(400, 8\)"),
     (np.arange(400) % 6, np.zeros((400, 4)).tolist(), "features .* got list"),
     (np.arange(400) % 6, np.zeros(400), r"features .* got float64 \(400,\)"),
+    (np.arange(400) % 6, np.zeros((400, 4)).astype(str), r"features .* got <U\d+ \(400, 4\)"),
+    (np.arange(400) % 6, np.zeros((400, 4), dtype=object), r"features .* got object \(400, 4\)"),
+    (np.arange(400) % 6, np.zeros((400, 4), dtype=complex), r"features .* got complex128 \(400, 4\)"),
+    (np.arange(400) % 6, np.zeros((400, 4), dtype=bool), r"features .* got bool \(400, 4\)"),
     (np.arange(400.0) % 6, np.zeros((400, 4)), "answers must be a 1-D integer array, got float64"),
     (np.zeros((400, 1), dtype=np.int64), np.zeros((400, 4)), r"answers .* got int64 \(400, 1\)"),
     ([0, 1], np.zeros((2, 4)), "answers .* got list"),
-], ids=["extra-rows", "missing-rows", "wide", "list-features", "1-d-features", "float-answers",
-        "2-d-answers", "list-answers"])
+], ids=["extra-rows", "missing-rows", "wide", "list-features", "1-d-features", "str-features",
+        "object-features", "complex-features", "bool-features", "float-answers", "2-d-answers",
+        "list-answers"])
 def test_split_rejects_misshapen_columns(answers, features, message):
     cfg = small_config()
     with pytest.raises(ConfigError, match=message):
@@ -382,6 +387,16 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.split"
     path.write_text("not json\n")
     with pytest.raises(DataFormatError, match="line 1"):
+        load_split(path)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(DataFormatError, match="line 1: header must be a JSON object"):
+        load_split(path)
+    save_split(make_benchmark(small_config())[0], path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["role"] = "val"
+    path.write_text("\n".join([json.dumps(header, sort_keys=True), *lines[1:]]) + "\n")
+    with pytest.raises(DataFormatError, match="line 1: role must be 'train' or 'test', got 'val'"):
         load_split(path)
 
 
