@@ -1,4 +1,5 @@
 """End-to-end CLI pipeline and exit-code contract."""
+import argparse
 import json
 import math
 import struct
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import toy_benchmark_config
-from debiasvqa import BenchmarkConfig, NumericalError, Tensor, harness
-from debiasvqa.cli import main
+from debiasvqa import BenchmarkConfig, NumericalError, Tensor, cli, harness
+from debiasvqa.cli import build_parser, main
 from debiasvqa.harness import REPORT_CSV_COLUMNS, REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
 from debiasvqa.synthbench import load_split, make_benchmark, save_split
@@ -412,16 +413,112 @@ def _with_byte_e6(path, dst, lineno):
     return dst
 
 
-def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "train", "sweep"])
+def test_non_utf8_file_exits_two_naming_file_and_line(pipeline, tmp_path, capsys, command):
     bad = _with_byte_e6(pipeline / "ood_test.split", tmp_path / "bad.split", 3)
-    assert main(["eval", str(pipeline / "model.ckpt"), str(bad)]) == 2
+    good = [str(pipeline / name) for name in ("train.split", "id_test.split")]
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", str(pipeline / "model.ckpt"), str(bad)],
+            "train": ["train", str(bad), "--out", str(out)],
+            "sweep": ["sweep", *good, str(bad), "--gamma", "1", "--out", str(out)]}[command]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: line 3: not UTF-8 text" in err
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def _never(*args, **kwargs):
     raise AssertionError("work started before the input was checked")
+
+
+# ---------------------------------------------------------------------------
+# one declaration per flag: each flag reads its text through its own type
+# and choices, and an unreadable text stops the run before any work
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+FLAGS = {(command, a.option_strings[-1][2:]): a for command, p in SUBCOMMANDS.items()
+         for a in p._actions if a.option_strings and a.dest != "help"}
+
+
+def _texts(action):
+    """A text the flag reads to a value other than its default, a second text it
+    reads, and one it cannot read (None when it reads any text)."""
+    if action.choices is not None:
+        first = next(c for c in action.choices if c != action.default)
+        return first, next(c for c in action.choices if c != first), "bogus"
+    return {int: ("7", "9", "1.5"), float: ("0.5", "0.25", "x"),
+            None: ("a.out", "b.out", None)}[action.type]
+
+
+def _read(action, texts):
+    """What ``action`` should hand its command after reading ``texts`` in order."""
+    values = [action.type(t) if action.type else t for t in texts]
+    return values if isinstance(action, argparse._AppendAction) else values[-1]
+
+
+def _resolve(monkeypatch, command, key, flags):
+    """The arguments ``command`` runs with; the command itself is replaced."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+    positionals = [a.dest for a in SUBCOMMANDS[command]._actions if not a.option_strings]
+    out = [] if key == "out" else ["--out", "o"]
+    assert main([command, *positionals, *flags, *out]) == 0
+    return seen[0]
+
+
+def _as_flags(key, texts):
+    return [arg for text in texts for arg in (f"--{key}", text)]
+
+
+def test_every_subcommand_flag_is_covered():
+    assert sorted(FLAGS) == sorted(
+        [("gen", k) for k in ("out", "seed")]
+        + [("train", k) for k in ("out", "variant", "gamma", "seed", "lr", "batch-size", "epochs")]
+        + [("eval", "out")]
+        + [("sweep", k) for k in ("out", "gamma", "seed", "lr", "batch-size", "epochs", "format")])
+
+
+@pytest.mark.parametrize("command, key", FLAGS)
+def test_flag_value_reaches_its_command(monkeypatch, command, key):
+    action = FLAGS[command, key]
+    first, _, _ = _texts(action)
+    args = _resolve(monkeypatch, command, key, _as_flags(key, [first]))
+    assert args[action.dest] == _read(action, [first]) != action.default
+
+
+@pytest.mark.parametrize("command, key", FLAGS)
+def test_repeated_flag_keeps_the_last_value_or_appends(monkeypatch, command, key):
+    action = FLAGS[command, key]
+    first, second, _ = _texts(action)
+    args = _resolve(monkeypatch, command, key, _as_flags(key, [first, second]))
+    assert args[action.dest] == _read(action, [first, second])
+
+
+@pytest.mark.parametrize("command, key", [case for case, action in FLAGS.items()
+                                          if _texts(action)[2] is not None])
+def test_unreadable_flag_value_exits_one_before_any_work(monkeypatch, tmp_path, capsys,
+                                                         command, key):
+    monkeypatch.setitem(cli._COMMANDS, command, _never)
+    out = tmp_path / "out"
+    positionals = [a.dest for a in SUBCOMMANDS[command]._actions if not a.option_strings]
+    rc = main([command, *positionals, *_as_flags(key, [_texts(FLAGS[command, key])[2]]),
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: argument --{key}: invalid " in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_variant_outside_choices_names_the_choices(tmp_path, capsys):
+    assert main(["train", "t.split", "--variant", "bogus", "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "debiasvqa train: error: argument --variant: invalid choice: 'bogus' "
+        "(choose from 'ce', 'lpf', 'focal', 'precomputed')")
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("variant", ["ce", "focal", "precomputed"])
