@@ -3,16 +3,17 @@
 Subcommands cover the full pipeline: ``gen`` writes benchmark split
 files, ``train`` produces a checkpoint and run log, ``eval`` scores a
 checkpoint on a split, ``sweep`` trains one model per gamma and writes a
-json or csv report.
+json report.
 
 :func:`build_parser` declares each flag's type, choices and default
 once.  Exit codes: 0 success, 1 usage error, 2 data or format error,
-3 numerical failure.
+3 numerical failure, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -73,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, action="append", default=[],
                    help="repeatable; at least one value required")
     training_flags(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -142,8 +142,8 @@ def _cmd_sweep(args) -> int:
     splits = tuple(load_split(path) for path in (args.train_split, args.id_split, args.ood_split))
     base = _train_config(args, splits[0].config, LossVariant.ce())  # each gamma replaces it
     rows = sweep_gamma(args.gamma, base, splits)
-    emit_report(rows, args.out, format=args.format)
-    print(f"wrote {args.out} ({len(rows)} gamma rows, format {args.format})")
+    emit_report(rows, args.out)
+    print(f"wrote {args.out} ({len(rows)} gamma rows)")
     return 0
 
 
@@ -158,7 +158,12 @@ def main(argv=None) -> int:
     try:
         if args.out is None and args.command != "eval":
             raise ConfigError(f"{args.command} needs --out")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: exit as SIGPIPE would, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

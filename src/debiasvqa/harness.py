@@ -7,7 +7,6 @@ exists purely to shape the training signal.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, fields, replace
 
@@ -31,16 +30,6 @@ from .synthbench import PriorTable, Split
 REPORT_FORMAT_VERSION = 1
 
 EVAL_BLOCK_ROWS = 1024  # rows per evaluate forward: small enough for the allocator to reuse its pages
-
-# fixed column order of the comma-separated report format
-REPORT_CSV_COLUMNS = (
-    "gamma",
-    "split",
-    "overall_accuracy",
-    "mean_kl_to_split_prior",
-    "mean_kl_to_train_prior",
-    "sample_count",
-)
 
 
 @dataclass(frozen=True)
@@ -258,41 +247,16 @@ def sweep_gamma(gammas, base_config: TrainConfig,
     return rows
 
 
-def emit_report(rows: list[SweepRow], path, format: str = "json") -> None:
-    """Serialize sweep rows deterministically.
-
-    ``json`` writes every field of both reports per row, under
-    REPORT_FORMAT_VERSION; ``csv`` flattens each row to two lines (one per
-    test split) in REPORT_CSV_COLUMNS order.
-    """
-    if format == "json":
-        payload = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "rows": [{
-                "gamma": r.gamma,
-                "id": r.id_report.to_dict(),
-                "ood": r.ood_report.to_dict(),
-            } for r in rows],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_CSV_COLUMNS)
-            for r in rows:
-                for split_name, report in (("id", r.id_report), ("ood", r.ood_report)):
-                    kl_train = ""
-                    if report.kl_to_train_prior is not None:
-                        kl_train = repr(float(report.kl_to_train_prior.mean()))
-                    writer.writerow([
-                        repr(r.gamma),
-                        split_name,
-                        repr(report.overall_accuracy),
-                        repr(float(report.kl_to_split_prior.mean())),
-                        kl_train,
-                        report.sample_count,
-                    ])
-        return
-    raise ConfigError(f"unknown report format {format!r} (use 'json' or 'csv')")
+def emit_report(rows: list[SweepRow], path) -> None:
+    """Serialize sweep rows deterministically as json: every field of both
+    reports per row, under REPORT_FORMAT_VERSION."""
+    payload = {
+        "format_version": REPORT_FORMAT_VERSION,
+        "rows": [{
+            "gamma": r.gamma,
+            "id": r.id_report.to_dict(),
+            "ood": r.ood_report.to_dict(),
+        } for r in rows],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -2,8 +2,12 @@
 import argparse
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from conftest import toy_benchmark_config
 from debiasvqa import BenchmarkConfig, NumericalError, Tensor, cli, harness
 from debiasvqa.cli import build_parser, main
-from debiasvqa.harness import REPORT_CSV_COLUMNS, REPORT_FORMAT_VERSION, evaluate
+from debiasvqa.harness import REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
 from debiasvqa.synthbench import load_split, make_benchmark, save_split
 
@@ -75,26 +79,13 @@ def test_eval_payload_is_the_evaluate_report(pipeline, capsys):
     assert payload["report"]["kl_to_train_prior"] is None  # eval is given no train priors
 
 
-def test_sweep_csv_writes_two_lines_per_gamma(tmp_path, capsys):
-    paths = [str(tmp_path / f"{name}.split") for name in ("train", "id_test", "ood_test")]
-    for split, path in zip(make_benchmark(toy_benchmark_config()), paths):
-        save_split(split, path)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", *paths, "--gamma", "0", "--gamma", "2", "--epochs", "1",
-                 "--format", "csv", "--out", str(out)]) == 0
-    assert f"wrote {out} (2 gamma rows, format csv)" in capsys.readouterr().out
-    lines = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
-    assert tuple(lines[0]) == REPORT_CSV_COLUMNS
-    assert [(float(line[0]), line[1]) for line in lines[1:]] == \
-        [(0.0, "id"), (0.0, "ood"), (2.0, "id"), (2.0, "ood")]
-
-
-def test_sweep_then_report(pipeline):
+def test_sweep_then_report(pipeline, capsys):
     report = pipeline / "report.json"
     rc = main(["sweep", str(pipeline / "train.split"), str(pipeline / "id_test.split"),
                str(pipeline / "ood_test.split"), "--gamma", "0", "--gamma", "2",
                "--epochs", "1", "--out", str(report)])
     assert rc == 0
+    assert capsys.readouterr().out == f"wrote {report} (2 gamma rows)\n"
     payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["format_version"] == harness.REPORT_FORMAT_VERSION
     assert [row["gamma"] for row in payload["rows"]] == [0.0, 2.0]
@@ -108,10 +99,11 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["train"]) == 1
     assert main(["gen", "--bogus"]) == 1
-    assert main(["sweep", "t.split", "i.split", "o.split", "--format", "xml"]) == 1
+    assert main(["sweep", "t.split", "i.split", "o.split", "--format", "csv"]) == 1
     assert main(["train", "t.split", "--config", "x.cfg"]) == 1
     assert main(["report", "x.json"]) == 1  # no such subcommand
     err = capsys.readouterr().err
+    assert "unrecognized arguments: --format csv" in err
     assert "unrecognized arguments: --config x.cfg" in err
     assert "invalid choice: 'report'" in err
 
@@ -138,6 +130,20 @@ def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["eval", str(tmp_path / "nope.ckpt"), str(tmp_path / "nope.split")])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(pipeline, unbuffered):
+    """A reader that closes stdout early (``| head``, ``| true``) stops the run as
+    SIGPIPE would, not as a data error, and the exit-time flush stays quiet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "debiasvqa.cli", "eval",
+                           str(pipeline / "model.ckpt"), str(pipeline / "ood_test.split")],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the child is done importing, so its first write fails
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_sweep_without_gamma_exits_two(pipeline, capsys):
@@ -478,7 +484,7 @@ def test_every_subcommand_flag_is_covered():
         [("gen", k) for k in ("out", "seed")]
         + [("train", k) for k in ("out", "variant", "gamma", "seed", "lr", "batch-size", "epochs")]
         + [("eval", "out")]
-        + [("sweep", k) for k in ("out", "gamma", "seed", "lr", "batch-size", "epochs", "format")])
+        + [("sweep", k) for k in ("out", "gamma", "seed", "lr", "batch-size", "epochs")])
 
 
 @pytest.mark.parametrize("command, key", FLAGS)

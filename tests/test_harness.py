@@ -1,5 +1,4 @@
 """Training loop, evaluation, sweeps, and report files."""
-import csv
 import hashlib
 import json
 import tracemalloc
@@ -37,7 +36,6 @@ from debiasvqa.autodiff import _openblas, embedding_mean
 from debiasvqa.cli import main, model_config_for
 from debiasvqa.errors import ConfigError, NumericalError
 from debiasvqa.harness import (
-    REPORT_CSV_COLUMNS,
     REPORT_FORMAT_VERSION,
     check_compatible,
     emit_report,
@@ -434,26 +432,10 @@ def test_sweep_validates_gammas(toy, sweep_rows):
 
 def test_report_emission_is_byte_stable(tmp_path, sweep_rows):
     rows, _ = sweep_rows
-    for fmt in ("json", "csv"):
-        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-        emit_report(rows, a, format=fmt)
-        emit_report(rows, b, format=fmt)
-        assert a.read_bytes() == b.read_bytes()
-
-
-def test_report_csv_layout(tmp_path, sweep_rows):
-    rows, _ = sweep_rows
-    path = tmp_path / "report.csv"
-    emit_report(rows, path, format="csv")
-    with open(path, newline="") as fh:
-        parsed = list(csv.reader(fh))
-    assert tuple(parsed[0]) == REPORT_CSV_COLUMNS
-    assert len(parsed) == 1 + 2 * len(rows)
-    first = parsed[1]
-    assert float(first[0]) == rows[0].gamma
-    assert first[1] == "id" and parsed[2][1] == "ood"
-    assert float(first[2]) == rows[0].id_report.overall_accuracy
-    assert int(first[5]) == rows[0].id_report.sample_count
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    emit_report(rows, a)
+    emit_report(rows, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def _no_constant(token):
@@ -499,57 +481,15 @@ def test_json_report_keeps_every_field_exactly(tmp_path, sweep_rows, name):
                 assert got[side][name] == value
 
 
-# what each csv column holds, per (row, split name, report)
-_CSV_CELL = {
-    "gamma": lambda row, split, report: row.gamma,
-    "split": lambda row, split, report: split,
-    "overall_accuracy": lambda row, split, report: report.overall_accuracy,
-    "mean_kl_to_split_prior": lambda row, split, report: float(report.kl_to_split_prior.mean()),
-    "mean_kl_to_train_prior": lambda row, split, report: float(report.kl_to_train_prior.mean()),
-    "sample_count": lambda row, split, report: report.sample_count,
-}
-
-
-@pytest.mark.parametrize("column", REPORT_CSV_COLUMNS)
-def test_csv_report_cell_reads_back_exactly(tmp_path, sweep_rows, column):
-    rows, _ = sweep_rows
-    path = tmp_path / "report.csv"
-    emit_report(rows, path, format="csv")
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.DictReader(fh))
-    expected = [(row, split, report) for row in rows
-                for split, report in (("id", row.id_report), ("ood", row.ood_report))]
-    assert len(records) == len(expected)
-    for record, (row, split, report) in zip(records, expected):
-        want = _CSV_CELL[column](row, split, report)
-        cell = record[column]
-        assert (cell if isinstance(want, str) else type(want)(cell)) == want
-
-
-@pytest.mark.parametrize("format", ["json", "csv"])
-def test_report_without_train_priors_leaves_that_kl_empty(toy, tmp_path, format):
+def test_report_without_train_priors_leaves_that_kl_empty(toy, tmp_path):
     _, _, id_s, ood_s, mc = toy
     params = init_params(mc)
     row = SweepRow(gamma=0.0, id_report=evaluate(params, id_s), ood_report=evaluate(params, ood_s))
-    path = tmp_path / f"report.{format}"
-    emit_report([row], path, format=format)
-    if format == "json":
-        written = _read_json_report(path)["rows"][0]
-        assert written["id"]["kl_to_train_prior"] is None
-        assert written["ood"]["kl_to_train_prior"] is None
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.DictReader(fh))
-        assert [r["mean_kl_to_train_prior"] for r in records] == ["", ""]
-        assert [float(r["mean_kl_to_split_prior"]) for r in records] == \
-            [float(row.id_report.kl_to_split_prior.mean()),
-             float(row.ood_report.kl_to_split_prior.mean())]
-
-
-def test_report_rejects_unknown_format(tmp_path, sweep_rows):
-    rows, _ = sweep_rows
-    with pytest.raises(ConfigError):
-        emit_report(rows, tmp_path / "x.tsv", format="tsv")
+    path = tmp_path / "report.json"
+    emit_report([row], path)
+    written = _read_json_report(path)["rows"][0]
+    assert written["id"]["kl_to_train_prior"] is None
+    assert written["ood"]["kl_to_train_prior"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -683,30 +623,20 @@ PINNED_REPORTS = {
     "4-precomputed": "4e93458af4d16c7aa853a00a0b4dc9fe23eb959e679daf5a4d856361dff5aa81",
 }
 
-# SHA-256 of the csv report ``emit_report`` writes for the four seed-0 rows
-# above in PINNED_VARIANTS order, recorded while ``debiasvqa report`` could
-# still convert a json report to csv.
-PINNED_CSV_REPORT_SEED_0 = "0d11bd929b7a6ebb3368ce56ffe49607dfe633be11d71c7ba61f02bdaa5ba32a"
-
 
 @pytest.mark.skipif(_numpy_build() != PINNED_BUILD,
                     reason=f"numpy/BLAS build {_numpy_build()} differs from the pinned {PINNED_BUILD}")
 @pytest.mark.parametrize("seed", range(5))
 def test_eval_reports_match_pinned_digests(seed, tmp_path):
     train_s, id_s, ood_s = make_benchmark(BenchmarkConfig(seed=seed, n_train=1000))
-    rows = []
     for name, variant in PINNED_VARIANTS.items():
         config = TrainConfig(variant=variant, model=model_config_for(train_s.config, seed),
                              epochs=3, seed=seed)
         params, _ = train(train_s, config)
-        rows.append(SweepRow(gamma=variant.gamma,
-                             id_report=evaluate(params, id_s, train_priors=train_s.priors),
-                             ood_report=evaluate(params, ood_s, train_priors=train_s.priors)))
+        row = SweepRow(gamma=variant.gamma,
+                       id_report=evaluate(params, id_s, train_priors=train_s.priors),
+                       ood_report=evaluate(params, ood_s, train_priors=train_s.priors))
         path = tmp_path / f"{name}.json"
-        emit_report(rows[-1:], path)
+        emit_report([row], path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == PINNED_REPORTS[f"{seed}-{name}"], name
-    if seed == 0:
-        emit_report(rows, tmp_path / "rows.csv", format="csv")
-        assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == \
-            PINNED_CSV_REPORT_SEED_0
