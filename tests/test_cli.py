@@ -132,18 +132,81 @@ def test_missing_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+_CONSOLE_SCRIPT = ("-c", "import sys; from debiasvqa.cli import main; sys.exit(main())")
+
+
+def _run_with_closed_stdout(argv, unbuffered="", launcher=("-m", "debiasvqa.cli")):
+    """Run the CLI in a child whose stdout reader is gone; its exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, *launcher, *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the child is done importing, so its first write fails
+        err = proc.stderr.read()
+    return proc.returncode, err
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_quietly(pipeline, unbuffered):
     """A reader that closes stdout early (``| head``, ``| true``) stops the run as
     SIGPIPE would, not as a data error, and the exit-time flush stays quiet."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
-           "PYTHONUNBUFFERED": unbuffered}
-    with subprocess.Popen([sys.executable, "-m", "debiasvqa.cli", "eval",
-                           str(pipeline / "model.ckpt"), str(pipeline / "ood_test.split")],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        proc.stdout.close()  # before the child is done importing, so its first write fails
-        err = proc.stderr.read()
-    assert (proc.returncode, err) == (141, b"")
+    argv = ["eval", str(pipeline / "model.ckpt"), str(pipeline / "ood_test.split")]
+    assert _run_with_closed_stdout(argv, unbuffered) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_through_a_console_script(pipeline, unbuffered):
+    """The installed ``debiasvqa`` script calls ``sys.exit(main())``, not ``-m``."""
+    argv = ["eval", str(pipeline / "model.ckpt"), str(pipeline / "ood_test.split")]
+    assert _run_with_closed_stdout(argv, unbuffered, _CONSOLE_SCRIPT) == (141, b"")
+
+
+# per command: its argv given the pipeline and an output directory, and the
+# files it writes there before it prints its one line
+_WRITERS = {
+    "gen": (lambda root, out: ["gen", "--out", str(out), "--seed", "0"],
+            ["train.split", "id_test.split", "ood_test.split"]),
+    "train": (lambda root, out: ["train", str(root / "train.split"), "--out", str(out / "m.ckpt"),
+                                 "--variant", "lpf", "--gamma", "2", "--epochs", "1"],
+              ["m.ckpt", "m.ckpt.runlog.json"]),
+    "eval": (lambda root, out: ["eval", str(root / "model.ckpt"), str(root / "ood_test.split"),
+                                "--out", str(out / "eval.json")],
+             ["eval.json"]),
+    "sweep": (lambda root, out: ["sweep", *(str(root / f"{name}.split")
+                                            for name in ("train", "id_test", "ood_test")),
+                                 "--gamma", "0", "--epochs", "1", "--out", str(out / "r.json")],
+              ["r.json"]),
+}
+
+
+@pytest.mark.parametrize("command", _WRITERS)
+def test_closed_stdout_after_writing_keeps_the_files_whole(pipeline, tmp_path, capsys, command):
+    """Every command writes its files before its line to stdout, so a closed
+    reader costs the line only: the files match those of a run with a reader."""
+    argv_for, names = _WRITERS[command]
+    piped, reference = tmp_path / "piped", tmp_path / "reference"
+    piped.mkdir()
+    reference.mkdir()
+    assert _run_with_closed_stdout(argv_for(pipeline, piped)) == (141, b"")
+    assert main(argv_for(pipeline, reference)) == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+    for name in names:
+        assert (piped / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags", [["--format", "json"], ["--format", "csv"], ["--format=json"]],
+                         ids=["json", "csv", "equals-json"])
+def test_sweep_format_flag_is_an_unknown_argument(monkeypatch, tmp_path, capsys, flags):
+    """The sweep report is json only: any ``--format`` stops the run before any work."""
+    monkeypatch.setitem(cli._COMMANDS, "sweep", _never)
+    out = tmp_path / "r.json"
+    rc = main(["sweep", "t.split", "i.split", "o.split", "--gamma", "0", *flags,
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_without_gamma_exits_two(pipeline, capsys):
@@ -314,11 +377,18 @@ def test_train_on_empty_split_exits_two(pipeline, tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval-checkpoint", "eval-split"])
+@pytest.mark.parametrize("command", ["train", "eval-checkpoint", "eval-split",
+                                     "train-out", "eval-out", "sweep-out"])
 def test_directory_path_exits_two(pipeline, tmp_path, capsys, command):
+    """A directory where a file is read or written is a data error, not a closed stdout."""
+    splits = [str(pipeline / f"{name}.split") for name in ("train", "id_test", "ood_test")]
     argv = {"train": ["train", str(tmp_path), "--out", str(tmp_path / "m.ckpt")],
             "eval-checkpoint": ["eval", str(tmp_path), str(pipeline / "id_test.split")],
-            "eval-split": ["eval", str(pipeline / "model.ckpt"), str(tmp_path)]}[command]
+            "eval-split": ["eval", str(pipeline / "model.ckpt"), str(tmp_path)],
+            "train-out": ["train", splits[0], "--epochs", "1", "--out", str(tmp_path)],
+            "eval-out": ["eval", str(pipeline / "model.ckpt"), splits[2], "--out", str(tmp_path)],
+            "sweep-out": ["sweep", *splits, "--gamma", "0", "--epochs", "1",
+                          "--out", str(tmp_path)]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "directory" in err.lower()

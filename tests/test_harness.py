@@ -438,6 +438,15 @@ def test_report_emission_is_byte_stable(tmp_path, sweep_rows):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_has_one_format(tmp_path, sweep_rows):
+    """json is the only report format, so ``emit_report`` takes no format to choose."""
+    rows, _ = sweep_rows
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        emit_report(rows, path, format="json")
+    assert not path.exists()
+
+
 def _no_constant(token):
     raise ValueError(f"report holds the non-JSON constant {token}")
 
