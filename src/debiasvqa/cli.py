@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ood_split")
     p.add_argument("--out")
     p.add_argument("--gamma", type=float, action="append", default=[],
-                   help="repeatable; at least one value required")
+                   help="repeatable; one run per value")
     training_flags(p)
     return parser
 
@@ -137,8 +137,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.gamma:
-        raise ConfigError("sweep needs at least one --gamma")
     splits = tuple(load_split(path) for path in (args.train_split, args.id_split, args.ood_split))
     base = _train_config(args, splits[0].config, LossVariant.ce())  # each gamma replaces it
     rows = sweep_gamma(args.gamma, base, splits)
@@ -158,6 +156,11 @@ def main(argv=None) -> int:
     try:
         if args.out is None and args.command != "eval":
             raise ConfigError(f"{args.command} needs --out")
+        if args.out is not None and args.command != "gen":  # gen makes its directory
+            out = Path(args.out)
+            if out.is_dir() or not out.parent.is_dir():  # else the write fails after the work
+                raise ConfigError(f"--out {out} is a directory" if out.is_dir()
+                                  else f"--out {out}: no directory {out.parent}")
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed reader shows here, not in the exit-time flush
         return code

@@ -25,7 +25,7 @@ from .model import (
 )
 from .objectives import LossVariant, VariantKind, batch_objective, build_prior_table
 from .rng import mix_seed, uniform_stream
-from .synthbench import PriorTable, Split
+from .synthbench import PriorTable, Split, qtype_counts
 
 REPORT_FORMAT_VERSION = 1
 
@@ -111,8 +111,7 @@ def train(train_split: Split, config: TrainConfig,
     the backward pass, before the optimizer step.
     """
     check_compatible(train_split, config.model)
-    if len(train_split) == 0:
-        raise ValueError("cannot train on an empty split")
+    qtype_counts(train_split)  # every question type occurs, whichever variant trains
     params = init_params(config.model)
     priors = None
     if config.variant.kind == VariantKind.PRECOMPUTED:
@@ -180,13 +179,12 @@ def evaluate(params: VqaModelParams, split: Split,
              train_priors: PriorTable | None = None) -> EvalReport:
     """Accuracy and answer-distribution metrics using the visual path only.
 
-    Predictions are argmax over main-model logits with ties broken toward
-    the lowest answer id.  When ``train_priors`` is given, the report also
-    carries per-qtype KL from the predicted distribution to those priors,
-    which measures how much the model still follows the training prior.
+    A split that lacks a question type raises before the forward pass.
+    Predictions are argmax over main-model logits, ties toward the lowest
+    answer id.  ``train_priors`` adds per-qtype KL from the predicted
+    distribution to those priors: how much the model still follows them.
     """
-    if len(split) == 0:
-        raise ValueError("cannot evaluate on an empty split")
+    counts = qtype_counts(split)
     check_compatible(split, params.config)
     frozen = {name: params[name].detach() for name in params.names()}  # no op keeps a graph
     preds = np.empty(len(split), dtype=np.int64)
@@ -199,9 +197,6 @@ def evaluate(params: VqaModelParams, split: Split,
             preds[rows] = logits.argmax(axis=1)
     answers = split.answers
     k, a, qtypes = split.num_qtypes, split.num_answers, split.qtypes
-    counts = np.bincount(qtypes, minlength=k)
-    if (counts == 0).any():
-        raise ValueError(f"split has no samples for question type {int(np.argmin(counts))}")
     per_acc = np.bincount(qtypes, weights=preds == answers, minlength=k) / counts
     dist = np.bincount(qtypes * a + preds, minlength=k * a).reshape(k, a) / counts[:, None]
 
@@ -236,6 +231,7 @@ def sweep_gamma(gammas, base_config: TrainConfig,
         for dim in ("num_qtypes", "num_answers", "vocab_size", "v_in_dim"):
             if (has := getattr(test.config, dim)) != (want := getattr(train_split.config, dim)):
                 raise ConfigError(f"the {role} test split has {dim} {has}, the train split has {want}")
+        qtype_counts(test)  # and every question type
     rows = []
     for variant in variants:
         params, _ = train(train_split, replace(base_config, variant=variant))

@@ -29,7 +29,7 @@ from .autodiff import (
     weighted_cross_entropy,
 )
 from .errors import ConfigError, ShapeError, bounded, check_fields
-from .synthbench import PriorTable
+from .synthbench import PriorTable, qtype_counts
 
 
 class VariantKind(str, Enum):
@@ -148,21 +148,14 @@ def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
 
 
 def build_prior_table(split) -> PriorTable:
-    """Empirical per-question-type answer distribution of a split.
-
-    Every question type must occur at least once; rows are normalized
-    counts over the full answer vocabulary.
-    """
-    if len(split.answers) == 0:
-        raise ValueError("cannot build a prior table from an empty split")
+    """Empirical per-question-type answer distribution of a split: normalized
+    counts over the full answer vocabulary.  Raises ValueError unless every
+    question type occurs (:func:`qtype_counts`) and every answer id is in range."""
+    totals = qtype_counts(split)
     k, a = split.num_qtypes, split.num_answers
     if not (split.answers.min() >= 0 and split.answers.max() < a):  # else it counts in another row
         raise ValueError(f"answer ids must lie in [0, {a})")
     counts = np.bincount(split.qtypes * a + split.answers, minlength=k * a).reshape(k, a)
-    totals = counts.sum(axis=1)
-    if (totals == 0).any():
-        missing = int(np.argmin(totals))
-        raise ValueError(f"question type {missing} has no samples")
     return PriorTable(counts / totals[:, None])
 
 

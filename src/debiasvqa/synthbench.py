@@ -169,6 +169,16 @@ class Split:
         return len(self.answers)
 
 
+def qtype_counts(split) -> np.ndarray:
+    """Samples per question type [K], read from ``qtypes`` and ``num_qtypes`` only; every type must occur."""
+    if len(split.qtypes) == 0:
+        raise ValueError("empty split")
+    counts = np.bincount(split.qtypes, minlength=split.num_qtypes)
+    if (counts == 0).any():
+        raise ValueError(f"split has no samples for question type {int(np.argmin(counts))}")
+    return counts
+
+
 def question_template(qtypes, config: BenchmarkConfig) -> np.ndarray:
     """Token ids of each question type's fixed template, disjoint across types: [...] -> [..., T]."""
     t = config.tokens_per_question

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_benchmark_config
-from debiasvqa import BenchmarkConfig, NumericalError, Tensor, cli, harness
+from debiasvqa import BenchmarkConfig, NumericalError, Split, Tensor, cli, harness
 from debiasvqa.cli import build_parser, main
 from debiasvqa.harness import REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
@@ -625,3 +625,38 @@ def test_sweep_over_splits_of_another_shape_exits_two_before_training(tmp_path, 
     assert "the in-distribution test split has num_qtypes 2, the train split has 1" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["id", "ood"])
+def test_sweep_whose_test_split_lacks_a_question_type_exits_two_before_training(
+        tmp_path, monkeypatch, capsys, role):
+    splits = list(make_benchmark(toy_benchmark_config()))
+    i = 1 if role == "id" else 2
+    keep = splits[i].qtypes != 0
+    splits[i] = Split(splits[i].answers[keep], splits[i].features[keep], splits[i].priors,
+                      "test", splits[i].config)
+    paths = [tmp_path / f"{name}.split" for name in ("train", "id_test", "ood_test")]
+    for split, path in zip(splits, paths):
+        save_split(split, path)
+    monkeypatch.setattr(harness, "train", _never)
+    out = tmp_path / "r.json"
+    assert main(["sweep", *map(str, paths), "--gamma", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: split has no samples for question type 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_two_before_any_work(tmp_path, monkeypatch, capsys, command, where):
+    """An --out that is a directory, or sits in a missing one, fails before the
+    command reads any file or trains."""
+    monkeypatch.setitem(cli._COMMANDS, command, _never)
+    out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    positionals = [a.dest for a in SUBCOMMANDS[command]._actions if not a.option_strings]
+    gammas = ["--gamma", "1"] if command == "sweep" else []
+    assert main([command, *positionals, *gammas, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out}: no directory {out.parent}\n"
+                                       if where == "missing-directory"
+                                       else f"error: --out {out} is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+    assert not Path(f"{out}.runlog.json").exists()

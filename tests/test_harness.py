@@ -89,6 +89,21 @@ def test_train_rejects_mismatch_before_any_step(toy):
         train(train_s, quick_config(ModelConfig(vocab_size=9, num_answers=4, v_in_dim=4)))
 
 
+def lacking_qtype(split, qtype):
+    """The rows of ``split`` outside one question type."""
+    keep = split.qtypes != qtype
+    return Split(split.answers[keep], split.features[keep], split.priors, split.role, split.config)
+
+
+@pytest.mark.parametrize("variant", [LossVariant.ce(), LossVariant.lpf(2.0), LossVariant.focal(),
+                                     LossVariant.precomputed()],
+                         ids=["ce", "lpf", "focal", "precomputed"])
+def test_train_rejects_a_split_that_lacks_a_question_type(toy, variant):
+    _, train_s, _, _, mc = toy
+    with pytest.raises(ValueError, match="^split has no samples for question type 1$"):
+        train(lacking_qtype(train_s, 1), quick_config(mc, variant))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -322,6 +337,21 @@ def test_evaluate_rejects_empty_and_missing_qtypes(toy):
         evaluate(params, rows(np.zeros(len(train_s), dtype=bool)))
     with pytest.raises(ValueError, match="question type 1"):
         evaluate(params, rows(train_s.qtypes == 0))
+
+
+def test_evaluate_checks_question_types_before_its_forward_pass(toy, monkeypatch):
+    _, _, id_s, _, mc = toy
+    params, calls, encode_visual = init_params(mc), [], harness.encode_visual
+
+    def counted(features, p):
+        calls.append(len(features))
+        return encode_visual(features, p)
+    monkeypatch.setattr(harness, "encode_visual", counted)
+    with pytest.raises(ValueError, match="^split has no samples for question type 0$"):
+        evaluate(params, lacking_qtype(id_s, 0))
+    assert calls == []
+    evaluate(params, id_s)  # the wrapper does see evaluate's forward pass
+    assert calls == [len(id_s)]
 
 
 @pytest.mark.parametrize("table", [[[0.25] * 4], [[0.5, 0.5]] * 2],

@@ -2,6 +2,7 @@
 import json
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from debiasvqa import (
     save_split,
 )
 from debiasvqa.errors import ConfigError, DataFormatError
-from debiasvqa.synthbench import _largest_remainder
+from debiasvqa.synthbench import _largest_remainder, qtype_counts
 
 
 def small_config(**overrides):
@@ -286,6 +287,18 @@ def test_column_shapes_and_len():
     assert train.features.shape == (44, 4)
     for column in (train.qtypes, train.tokens, train.answers):
         assert column.dtype == np.int64
+
+
+def test_qtype_counts_counts_each_question_type_and_names_the_first_missing_one():
+    def columns(qtypes, k):  # only the two columns the rule reads
+        return SimpleNamespace(qtypes=np.array(qtypes, dtype=np.int64), num_qtypes=k)
+    assert qtype_counts(columns([2, 0, 2, 1, 2], 3)).tolist() == [1, 1, 3]
+    train = make_benchmark(small_config())[0]
+    assert np.array_equal(qtype_counts(train), np.bincount(train.qtypes))
+    with pytest.raises(ValueError, match="^empty split$"):
+        qtype_counts(columns([], 3))
+    with pytest.raises(ValueError, match="^split has no samples for question type 1$"):
+        qtype_counts(columns([0, 3, 0, 4], 5))
 
 
 def test_split_derives_qtypes_and_tokens_from_answers():
