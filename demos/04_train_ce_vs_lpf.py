@@ -29,7 +29,7 @@ for name, variant in (("ce", LossVariant.ce()), ("lpf(5)", LossVariant.lpf(5.0))
     print(f"= {name} =")
     print("  epoch  train_acc  mean_alpha  mean_beta")
     for i in (0, 5, 10, 15, 20):
-        e = log.epochs[i]
+        e = log[i]
         print(f"  {i:5d}  {e.train_accuracy:9.3f}  {e.mean_alpha:10.3f}  {e.mean_beta:9.3f}")
     print()
 

@@ -18,7 +18,6 @@ from .errors import ConfigError, DataFormatError, NumericalError, ShapeError
 from .harness import (
     EpochStats,
     EvalReport,
-    RunLog,
     SweepRow,
     TrainConfig,
     emit_report,
@@ -39,9 +38,9 @@ from .model import (
     save_checkpoint,
 )
 from .objectives import (
+    VARIANT_GAMMAS,
     BatchLossRecord,
     LossVariant,
-    VariantKind,
     alpha_from_qo,
     batch_objective,
     beta,

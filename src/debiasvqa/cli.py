@@ -27,7 +27,7 @@ from .harness import (
     train,
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .objectives import LossVariant, VariantKind
+from .objectives import VARIANT_GAMMAS, LossVariant
 from .synthbench import BenchmarkConfig, load_split, make_benchmark, save_split
 
 
@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a split file, write a checkpoint")
     p.add_argument("split", help="training split file")
     p.add_argument("--out")
-    p.add_argument("--variant", choices=[k.value for k in VariantKind], default="ce")
-    p.add_argument("--gamma", type=float, default=1.0, help="lpf only; ce uses 0, focal 1, precomputed 1")
+    p.add_argument("--variant", choices=list(VARIANT_GAMMAS), default="ce")
+    p.add_argument("--gamma", type=float, default=1.0, help="lpf only; " + ", ".join(
+        f"{kind} uses {gamma:g}" for kind, gamma in VARIANT_GAMMAS.items() if gamma is not None))
     training_flags(p)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split file")
@@ -107,17 +108,16 @@ def _cmd_train(args) -> int:
     save_checkpoint(params, args.out)
     log_path = args.out + ".runlog.json"
     payload = {
-        "variant": config.variant.kind.value,
+        "variant": config.variant.kind,
         "gamma": config.variant.gamma,
         "lr": config.lr,
         "batch_size": config.batch_size,
-        "epochs": [vars(e) for e in log.epochs],
+        "epochs": [vars(e) for e in log],
         "seed": config.seed,
     }
     Path(log_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                               encoding="utf-8")
-    result = (f"final train accuracy {log.epochs[-1].train_accuracy:.4f}" if log.epochs
-              else "no epoch ran")
+    result = f"final train accuracy {log[-1].train_accuracy:.4f}" if log else "no epoch ran"
     print(f"wrote {args.out} and {log_path} ({result})")
     return 0
 

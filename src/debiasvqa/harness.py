@@ -8,7 +8,7 @@ exists purely to shape the training signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .model import (
     predict_qo,
     predict_vqa,
 )
-from .objectives import LossVariant, VariantKind, batch_objective, build_prior_table
+from .objectives import LossVariant, batch_objective, build_prior_table
 from .rng import mix_seed, uniform_stream
 from .synthbench import PriorTable, Split, qtype_counts
 
@@ -52,11 +52,6 @@ class EpochStats:
     mean_alpha: float
     mean_beta: float
     train_accuracy: float
-
-
-@dataclass
-class RunLog:
-    epochs: list[EpochStats] = field(default_factory=list)
 
 
 @dataclass
@@ -103,8 +98,9 @@ def forward_batch(params: VqaModelParams, tokens: np.ndarray,
 
 
 def train(train_split: Split, config: TrainConfig,
-          record_hook=None) -> tuple[VqaModelParams, RunLog]:
-    """Run the full training loop and return trained parameters plus a log.
+          record_hook=None) -> tuple[VqaModelParams, list[EpochStats]]:
+    """Run the full training loop; return the trained parameters and one
+    :class:`EpochStats` per epoch.
 
     Every batch takes one Adam step on all parameters of both branches.
     The optional ``record_hook(epoch, step, indices, record)`` fires after
@@ -114,9 +110,9 @@ def train(train_split: Split, config: TrainConfig,
     qtype_counts(train_split)  # every question type occurs, whichever variant trains
     params = init_params(config.model)
     priors = None
-    if config.variant.kind == VariantKind.PRECOMPUTED:
+    if config.variant.kind == "precomputed":
         priors = build_prior_table(train_split)
-    log = RunLog()
+    log = []
     n = len(train_split)
     step = 0
     # a huge step overflows the next forward; the checks below report it
@@ -153,7 +149,7 @@ def train(train_split: Split, config: TrainConfig,
                 sums["beta"] += float(record.beta.sum())
                 correct += int((logits_vqa.data.argmax(axis=1) == targets).sum())
                 step += 1
-            log.epochs.append(EpochStats(
+            log.append(EpochStats(
                 mean_lpf=sums["lpf"] / n,
                 mean_qo=sums["qo"] / n,
                 mean_alpha=sums["alpha"] / n,
@@ -227,11 +223,14 @@ def sweep_gamma(gammas, base_config: TrainConfig,
     if not variants:
         raise ConfigError("gamma sweep needs at least one value")
     train_split, id_test, ood_test = splits
-    for role, test in (("in-distribution", id_test), ("shifted", ood_test)):  # and every shape
-        for dim in ("num_qtypes", "num_answers", "vocab_size", "v_in_dim"):
-            if (has := getattr(test.config, dim)) != (want := getattr(train_split.config, dim)):
-                raise ConfigError(f"the {role} test split has {dim} {has}, the train split has {want}")
-        qtype_counts(test)  # and every question type
+    for role, split in zip(("train", "in-distribution test", "shifted test"), splits):
+        for dim in ("num_qtypes", "num_answers", "vocab_size", "v_in_dim"):  # and every shape
+            if (has := getattr(split.config, dim)) != (want := getattr(train_split.config, dim)):
+                raise ConfigError(f"the {role} split has {dim} {has}, the train split has {want}")
+        try:  # and every question type
+            qtype_counts(split)
+        except ValueError as exc:
+            raise ConfigError(f"the {role} split: {exc}") from None
     rows = []
     for variant in variants:
         params, _ = train(train_split, replace(base_config, variant=variant))

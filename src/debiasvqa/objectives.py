@@ -17,7 +17,6 @@ precomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,47 +31,42 @@ from .errors import ConfigError, ShapeError, bounded, check_fields
 from .synthbench import PriorTable, qtype_counts
 
 
-class VariantKind(str, Enum):
-    CE = "ce"
-    LPF = "lpf"
-    FOCAL = "focal"
-    PRECOMPUTED = "precomputed"
+# every loss variant and its pinned gamma; None: the variant takes the gamma it is given
+VARIANT_GAMMAS = {"ce": 0.0, "lpf": None, "focal": 1.0, "precomputed": 1.0}
 
 
 @dataclass(frozen=True)
 class LossVariant:
     """Which alpha source to use and how aggressively to down-weight.
 
-    ``kind`` may be given by its value (``"lpf"``).  ``gamma`` is pinned
-    to 0 for plain CE and to 1 for the focal and precomputed variants;
-    only the feedback variant sweeps it.
+    ``kind`` is a key of :data:`VARIANT_GAMMAS`, which pins ``gamma`` for
+    every variant but lpf, the one that sweeps it.
     """
-    kind: VariantKind
+    kind: str
     gamma: float = bounded(0.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in tuple(VariantKind):
-            raise ConfigError(f"unknown loss variant {self.kind!r}, choose from {', '.join(VariantKind)}")
-        object.__setattr__(self, "kind", VariantKind(self.kind))
+        if self.kind not in tuple(VARIANT_GAMMAS):  # a tuple: an unhashable kind is unknown too
+            raise ConfigError(f"unknown loss variant {self.kind!r}, choose from {', '.join(VARIANT_GAMMAS)}")
         check_fields(self)
-        if self.kind != VariantKind.LPF:
-            object.__setattr__(self, "gamma", 0.0 if self.kind == VariantKind.CE else 1.0)
+        if (pinned := VARIANT_GAMMAS[self.kind]) is not None:
+            object.__setattr__(self, "gamma", pinned)
 
     @classmethod
     def ce(cls) -> "LossVariant":
-        return cls(VariantKind.CE)
+        return cls("ce")
 
     @classmethod
     def lpf(cls, gamma: float) -> "LossVariant":
-        return cls(VariantKind.LPF, gamma)
+        return cls("lpf", gamma)
 
     @classmethod
     def focal(cls) -> "LossVariant":
-        return cls(VariantKind.FOCAL)
+        return cls("focal")
 
     @classmethod
     def precomputed(cls) -> "LossVariant":
-        return cls(VariantKind.PRECOMPUTED)
+        return cls("precomputed")
 
 
 @dataclass
@@ -123,23 +117,23 @@ def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
     return add(l_lpf, l_qo)
 
 
-def variant_alpha(kind: VariantKind, targets, logits_vqa=None, logits_qo=None,
+def variant_alpha(kind: str, targets, logits_vqa=None, logits_qo=None,
                   priors: PriorTable | None = None, qtype_ids=None) -> np.ndarray:
     """Per-sample alpha of any variant, as a constant.
 
-    CE and LPF read the true-answer probability off the question-only
-    logits, FOCAL off the main model's own logits, both through
-    :func:`alpha_from_qo`; PRECOMPUTED looks it up in an empirical
+    ce and lpf read the true-answer probability off the question-only
+    logits, focal off the main model's own logits, both through
+    :func:`alpha_from_qo`; precomputed looks it up in an empirical
     per-question-type answer table.
     """
-    if kind == VariantKind.PRECOMPUTED:
+    if kind == "precomputed":
         if priors is None or qtype_ids is None:
             raise ValueError("precomputed alpha needs a prior table and question-type ids")
         q = np.asarray(qtype_ids)
         if q.size and (q.min() < 0 or q.max() >= priors.num_qtypes):
             raise KeyError(f"no prior row for question type {q.max()} (have {priors.num_qtypes})")
         return priors.table[q, _check_targets(targets, priors.num_answers)]
-    focal = kind == VariantKind.FOCAL
+    focal = kind == "focal"
     logits = logits_vqa if focal else logits_qo
     if logits is None:
         raise ValueError("focal alpha needs the main model logits" if focal

@@ -31,15 +31,13 @@ def uniform_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.MT19937(seed))
 
 
-def gaussian(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard-normal doubles via Box-Muller on a pinned stream.
+def gaussian(gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard-normal doubles of ``shape`` via Box-Muller on a pinned stream.
 
-    ``size`` may be an int or a shape tuple.  Consumes uniforms in pairs:
-    u1 is mapped to (0, 1] to keep the log finite, and both transformed
-    values of each pair are used in order.
+    Consumes uniforms in pairs: u1 is mapped to (0, 1] to keep the log
+    finite, and both transformed values of each pair are used in order.
     """
-    shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    count = int(np.prod(shape)) if shape else 1
+    count = int(np.prod(shape))
     n_pairs = (count + 1) // 2
     u1 = 1.0 - gen.random(n_pairs)  # (0, 1]
     u2 = gen.random(n_pairs)

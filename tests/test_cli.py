@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import toy_benchmark_config
-from debiasvqa import BenchmarkConfig, NumericalError, Split, Tensor, cli, harness
+from debiasvqa import (VARIANT_GAMMAS, BenchmarkConfig, NumericalError, Split, Tensor, cli,
+                       harness)
 from debiasvqa.cli import build_parser, main
 from debiasvqa.harness import REPORT_FORMAT_VERSION, evaluate
 from debiasvqa.model import load_checkpoint, save_checkpoint
@@ -597,6 +598,14 @@ def test_variant_outside_choices_names_the_choices(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_variant_choices_and_gamma_help_come_from_the_variant_table():
+    assert FLAGS["train", "variant"].choices == list(VARIANT_GAMMAS)
+    help_text = FLAGS["train", "gamma"].help
+    assert help_text == "lpf only; ce uses 0, focal uses 1, precomputed uses 1"
+    assert all(f"{kind} uses {gamma:g}" in help_text
+               for kind, gamma in VARIANT_GAMMAS.items() if gamma is not None)
+
+
 @pytest.mark.parametrize("variant", ["ce", "focal", "precomputed"])
 def test_train_reads_gamma_for_every_variant(pipeline, tmp_path, capsys, variant):
     """ce runs at gamma 0 and focal and precomputed at 1, but a gamma they
@@ -627,21 +636,24 @@ def test_sweep_over_splits_of_another_shape_exits_two_before_training(tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("role", ["id", "ood"])
+@pytest.mark.parametrize("role", ["train", "id", "ood"])
 def test_sweep_whose_test_split_lacks_a_question_type_exits_two_before_training(
         tmp_path, monkeypatch, capsys, role):
+    """The message names the split at fault, train split included."""
     splits = list(make_benchmark(toy_benchmark_config()))
-    i = 1 if role == "id" else 2
+    i, label = {"train": (0, "train"), "id": (1, "in-distribution test"),
+                "ood": (2, "shifted test")}[role]
     keep = splits[i].qtypes != 0
     splits[i] = Split(splits[i].answers[keep], splits[i].features[keep], splits[i].priors,
-                      "test", splits[i].config)
+                      splits[i].role, splits[i].config)
     paths = [tmp_path / f"{name}.split" for name in ("train", "id_test", "ood_test")]
     for split, path in zip(splits, paths):
         save_split(split, path)
     monkeypatch.setattr(harness, "train", _never)
     out = tmp_path / "r.json"
     assert main(["sweep", *map(str, paths), "--gamma", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: split has no samples for question type 0\n"
+    assert capsys.readouterr().err == (f"error: the {label} split: "
+                                       "split has no samples for question type 0\n")
     assert not out.exists()
 
 

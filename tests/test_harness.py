@@ -114,7 +114,7 @@ def test_zero_epochs_returns_init(toy):
     fresh = init_params(mc)
     for name in params.names():
         assert np.array_equal(params[name].data, fresh[name].data)
-    assert log.epochs == []
+    assert log == []
 
 
 def test_ce_is_gamma_zero_bitwise(toy):
@@ -123,7 +123,7 @@ def test_ce_is_gamma_zero_bitwise(toy):
     p_g0, log_g0 = train(train_s, quick_config(mc, variant=LossVariant.lpf(0.0), epochs=3))
     for name in p_ce.names():
         assert np.array_equal(p_ce[name].data, p_g0[name].data)
-    for a, b in zip(log_ce.epochs, log_g0.epochs):
+    for a, b in zip(log_ce, log_g0):
         assert a.mean_lpf == b.mean_lpf and a.train_accuracy == b.train_accuracy
 
 
@@ -204,8 +204,8 @@ def test_train_runs_on_one_blas_thread_and_restores_the_count(toy):
 def test_epoch_stats_ranges(toy):
     _, train_s, _, _, mc = toy
     _, log = train(train_s, quick_config(mc, variant=LossVariant.lpf(2.0), epochs=3))
-    assert len(log.epochs) == 3
-    for e in log.epochs:
+    assert len(log) == 3
+    for e in log:
         assert 0.0 <= e.mean_alpha <= 1.0
         assert 0.0 <= e.mean_beta <= 1.0
         assert 0.0 <= e.train_accuracy <= 1.0
@@ -215,14 +215,14 @@ def test_epoch_stats_ranges(toy):
 def test_ce_logs_unit_beta(toy):
     _, train_s, _, _, mc = toy
     _, log = train(train_s, quick_config(mc, variant=LossVariant.ce(), epochs=2))
-    assert all(e.mean_beta == 1.0 for e in log.epochs)
+    assert all(e.mean_beta == 1.0 for e in log)
 
 
 def test_focal_and_precomputed_variants_train(toy):
     _, train_s, _, _, mc = toy
     for variant in (LossVariant.focal(), LossVariant.precomputed()):
         _, log = train(train_s, quick_config(mc, variant=variant, epochs=1))
-        assert log.epochs[0].mean_beta < 1.0
+        assert log[0].mean_beta < 1.0
 
 
 def test_epoch_order_properties():

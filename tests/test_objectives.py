@@ -7,10 +7,10 @@ import pytest
 
 from conftest import cross_entropy_per_sample
 from debiasvqa import (
+    VARIANT_GAMMAS,
     LossVariant,
     PriorTable,
     Tensor,
-    VariantKind,
     alpha_from_qo,
     batch_objective,
     beta,
@@ -62,19 +62,28 @@ def test_variant_gamma_validation():
     assert LossVariant.lpf(5.0).gamma == 5.0
 
 
-def test_ce_focal_and_precomputed_pin_gamma():
-    assert LossVariant.focal().gamma == 1.0
-    assert LossVariant.precomputed().gamma == 1.0
-    assert LossVariant(VariantKind.FOCAL, 3.0).gamma == 1.0
-    assert LossVariant(VariantKind.PRECOMPUTED, 0.2).gamma == 1.0
-    assert LossVariant(VariantKind.CE, 3.0).gamma == 0.0
+@pytest.mark.parametrize("kind", VARIANT_GAMMAS)
+def test_ce_focal_and_precomputed_pin_gamma(kind):
+    """ce runs at gamma 0 and focal and precomputed at 1, whatever gamma they
+    are given; lpf keeps the one it is given."""
+    pinned = {"ce": 0.0, "lpf": None, "focal": 1.0, "precomputed": 1.0}[kind]
+    assert VARIANT_GAMMAS[kind] == pinned
+    for given in (0.2, 3.0):
+        variant = LossVariant(kind, given)
+        assert (variant.kind, variant.gamma) == (kind, given if pinned is None else pinned)
+    made = LossVariant.lpf(0.2) if kind == "lpf" else getattr(LossVariant, kind)()
+    assert made == LossVariant(kind, 0.2)
 
 
 def test_variant_kind_is_checked():
     assert LossVariant("lpf", 2.0) == LossVariant.lpf(2.0)
-    assert LossVariant("focal").kind is VariantKind.FOCAL
-    with pytest.raises(ConfigError, match="unknown loss variant 'bogus'"):
+    assert LossVariant("focal") == LossVariant.focal()
+    with pytest.raises(ConfigError, match="^unknown loss variant 'bogus', "
+                                          "choose from ce, lpf, focal, precomputed$"):
         LossVariant("bogus", 0.3)
+    for kind in (["x"], None, 1):  # not a string: still a ConfigError, never a TypeError
+        with pytest.raises(ConfigError, match="unknown loss variant"):
+            LossVariant(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +299,12 @@ def test_total_loss_gradient_is_sum_of_gradients():
 
 def test_precomputed_alpha_is_table_lookup():
     priors = PriorTable([[0.8, 0.15, 0.05]])
-    a = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
+    a = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
     assert a[0] == 0.8
 
 
 def test_focal_alpha_from_vqa_logits():
-    a = variant_alpha(VariantKind.FOCAL, [2], logits_vqa=Tensor(np.zeros((1, 4))))
+    a = variant_alpha("focal", [2], logits_vqa=Tensor(np.zeros((1, 4))))
     assert np.allclose(a, 0.25, atol=1e-15)
 
 
@@ -303,18 +312,18 @@ def test_focal_tracks_logits_precomputed_does_not():
     priors = PriorTable([[0.6, 0.4]])
     logits1 = Tensor(np.array([[0.0, 0.0]]))
     logits2 = Tensor(np.array([[3.0, -1.0]]))
-    f1 = variant_alpha(VariantKind.FOCAL, [0], logits_vqa=logits1)
-    f2 = variant_alpha(VariantKind.FOCAL, [0], logits_vqa=logits2)
+    f1 = variant_alpha("focal", [0], logits_vqa=logits1)
+    f2 = variant_alpha("focal", [0], logits_vqa=logits2)
     assert f1[0] != f2[0]
-    p1 = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
-    p2 = variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[0])
+    p1 = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
+    p2 = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
     assert p1[0] == p2[0] == 0.6
 
 
 def test_variant_alpha_missing_prior_row_rejected():
     priors = PriorTable([[1.0, 0.0]])
     with pytest.raises(KeyError):
-        variant_alpha(VariantKind.PRECOMPUTED, [0], priors=priors, qtype_ids=[1])
+        variant_alpha("precomputed", [0], priors=priors, qtype_ids=[1])
 
 
 def test_ce_and_lpf_alpha_read_the_question_only_head():
@@ -322,7 +331,7 @@ def test_ce_and_lpf_alpha_read_the_question_only_head():
     logits_vqa, logits_qo = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6)))
     targets = rng.integers(0, 6, size=5)
     expected = alpha_from_qo(logits_qo, targets)
-    for kind in (VariantKind.CE, VariantKind.LPF):
+    for kind in ("ce", "lpf"):
         assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo), expected)
         with pytest.raises(ValueError):
             variant_alpha(kind, targets, logits_vqa=logits_vqa)
