@@ -48,7 +48,6 @@ from .objectives import (
     lpf_loss,
     qo_loss,
     total_loss,
-    variant_alpha,
 )
 from .synthbench import (
     BenchmarkConfig,

@@ -107,11 +107,8 @@ def train(train_split: Split, config: TrainConfig,
     the backward pass, before the optimizer step.
     """
     check_compatible(train_split, config.model)
-    qtype_counts(train_split)  # every question type occurs, whichever variant trains
+    priors = build_prior_table(train_split)  # raises unless every question type occurs
     params = init_params(config.model)
-    priors = None
-    if config.variant.kind == "precomputed":
-        priors = build_prior_table(train_split)
     log = []
     n = len(train_split)
     step = 0

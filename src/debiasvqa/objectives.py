@@ -6,13 +6,12 @@ the question-only head assigns to the true answer.  Samples the question
 alone already answers get alpha near 1 and are down-weighted toward zero;
 samples that need the image keep weight near 1.
 
-:func:`batch_objective`, which trains, calls :func:`variant_alpha`,
+:func:`batch_objective`, which trains, is the one place alpha is picked:
+the question-only head for ce and lpf, the main head's own prediction for
+focal (the multi-class focal rule), both through :func:`alpha_from_qo`,
+and a per-question-type answer table for precomputed.  It then calls
 :func:`beta` and ``weighted_cross_entropy`` (the body of :func:`lpf_loss`;
 the weights go into the record), :func:`qo_loss` and :func:`total_loss`.
-:func:`variant_alpha` is the one place alpha is picked: the question-only
-head for ce and lpf, the main head's own prediction for focal (the
-multi-class focal rule), and a per-question-type answer table for
-precomputed.
 """
 from __future__ import annotations
 
@@ -117,30 +116,6 @@ def total_loss(l_lpf: Tensor, l_qo: Tensor) -> Tensor:
     return add(l_lpf, l_qo)
 
 
-def variant_alpha(kind: str, targets, logits_vqa=None, logits_qo=None,
-                  priors: PriorTable | None = None, qtype_ids=None) -> np.ndarray:
-    """Per-sample alpha of any variant, as a constant.
-
-    ce and lpf read the true-answer probability off the question-only
-    logits, focal off the main model's own logits, both through
-    :func:`alpha_from_qo`; precomputed looks it up in an empirical
-    per-question-type answer table.
-    """
-    if kind == "precomputed":
-        if priors is None or qtype_ids is None:
-            raise ValueError("precomputed alpha needs a prior table and question-type ids")
-        q = np.asarray(qtype_ids)
-        if q.size and (q.min() < 0 or q.max() >= priors.num_qtypes):
-            raise KeyError(f"no prior row for question type {q.max()} (have {priors.num_qtypes})")
-        return priors.table[q, _check_targets(targets, priors.num_answers)]
-    focal = kind == "focal"
-    logits = logits_vqa if focal else logits_qo
-    if logits is None:
-        raise ValueError("focal alpha needs the main model logits" if focal
-                         else "ce and lpf alpha need the question-only logits")
-    return alpha_from_qo(logits, targets)
-
-
 def build_prior_table(split) -> PriorTable:
     """Empirical per-question-type answer distribution of a split: normalized
     counts over the full answer vocabulary.  Raises ValueError unless every
@@ -166,7 +141,15 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
     t = np.asarray(targets)
     # the question-only loss goes first: it checks the targets alpha is read at
     l_qo = qo_loss(logits_qo, t)
-    alpha = variant_alpha(variant.kind, t, logits_vqa, logits_qo, priors, qtype_ids)
+    if variant.kind == "precomputed":
+        if priors is None or qtype_ids is None:
+            raise ValueError("precomputed alpha needs a prior table and question-type ids")
+        q = np.asarray(qtype_ids)
+        if q.size and (q.min() < 0 or q.max() >= priors.num_qtypes):  # numpy would read row -1
+            raise KeyError(f"no prior row for question type {q.max()} (have {priors.num_qtypes})")
+        alpha = priors.table[q, _check_targets(t, priors.num_answers)]
+    else:
+        alpha = alpha_from_qo(logits_vqa if variant.kind == "focal" else logits_qo, t)
     weights = beta(alpha, variant.gamma)
     l_lpf = weighted_cross_entropy(logits_vqa, t, weights)
     total = total_loss(l_lpf, l_qo)

@@ -154,6 +154,7 @@ class Split:
                           (~np.isfinite(self.features), "non-finite visual feature")):
             if bad.any():
                 raise _SampleError(i := int(np.nonzero(bad)[0][0]), rule.format(self.answers[i]))
+        self.answers = self.answers.astype(np.int64, copy=False)  # so qtype * A + answer cannot wrap
         self.qtypes = self.answers // self.config.answers_per_qtype
         self.tokens = question_template(self.qtypes, self.config)
 

@@ -19,6 +19,7 @@ from debiasvqa import (
     TrainConfig,
     adam_step,
     batch_objective,
+    build_prior_table,
     build_priors,
     evaluate,
     generate_split,
@@ -414,6 +415,18 @@ def test_evaluate_allocation_peak_is_bounded(default_shifted):
     table = Tensor(params["token_embeddings"].data)
     out_bytes = len(ood_s) * table.data.shape[1] * 8
     assert _traced_peak(embedding_mean, table, ood_s.tokens) <= 2.5 * out_bytes
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+                                   np.uint64], ids=lambda d: np.dtype(d).name)
+def test_split_stores_answers_of_any_integer_dtype_as_int64(default_shifted, dtype):
+    # 40 answers: qtype * 40 + answer passes 127 and 255, so an int8 or uint8 column would wrap
+    params, ood_s = default_shifted
+    narrow = Split(ood_s.answers.astype(dtype), ood_s.features, ood_s.priors, ood_s.role,
+                   ood_s.config)
+    assert [c.dtype for c in (narrow.answers, narrow.qtypes, narrow.tokens)] == [np.int64] * 3
+    assert evaluate(params, narrow).to_dict() == evaluate(params, ood_s).to_dict()
+    assert np.array_equal(build_prior_table(narrow).table, build_prior_table(ood_s).table)
 
 
 # Traced peak of writing the default 8000-row train split: one 128-row

@@ -18,7 +18,6 @@ from debiasvqa import (
     lpf_loss,
     qo_loss,
     total_loss,
-    variant_alpha,
 )
 from debiasvqa.autodiff import (
     Parameter,
@@ -294,17 +293,26 @@ def test_total_loss_gradient_is_sum_of_gradients():
 
 
 # ---------------------------------------------------------------------------
-# variant_alpha
+# alpha of each variant, as batch_objective records it
 # ---------------------------------------------------------------------------
+
+def record_alpha(variant, targets, n_answers, logits_vqa=None, logits_qo=None, **lookup):
+    """``record.alpha`` of one batch_objective call; a head not given gets zero logits."""
+    zeros = Tensor(np.zeros((len(targets), n_answers)))
+    _, record = batch_objective(zeros if logits_vqa is None else logits_vqa,
+                                zeros if logits_qo is None else logits_qo,
+                                targets, variant, **lookup)
+    return record.alpha
+
 
 def test_precomputed_alpha_is_table_lookup():
     priors = PriorTable([[0.8, 0.15, 0.05]])
-    a = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
+    a = record_alpha(LossVariant.precomputed(), [0], 3, priors=priors, qtype_ids=[0])
     assert a[0] == 0.8
 
 
 def test_focal_alpha_from_vqa_logits():
-    a = variant_alpha("focal", [2], logits_vqa=Tensor(np.zeros((1, 4))))
+    a = record_alpha(LossVariant.focal(), [2], 4, logits_qo=Tensor(np.array([[0.0, 0.0, 5.0, 0.0]])))
     assert np.allclose(a, 0.25, atol=1e-15)
 
 
@@ -312,18 +320,20 @@ def test_focal_tracks_logits_precomputed_does_not():
     priors = PriorTable([[0.6, 0.4]])
     logits1 = Tensor(np.array([[0.0, 0.0]]))
     logits2 = Tensor(np.array([[3.0, -1.0]]))
-    f1 = variant_alpha("focal", [0], logits_vqa=logits1)
-    f2 = variant_alpha("focal", [0], logits_vqa=logits2)
+    f1 = record_alpha(LossVariant.focal(), [0], 2, logits_vqa=logits1)
+    f2 = record_alpha(LossVariant.focal(), [0], 2, logits_vqa=logits2)
     assert f1[0] != f2[0]
-    p1 = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
-    p2 = variant_alpha("precomputed", [0], priors=priors, qtype_ids=[0])
+    p1, p2 = (record_alpha(LossVariant.precomputed(), [0], 2, logits, logits,
+                           priors=priors, qtype_ids=[0]) for logits in (logits1, logits2))
     assert p1[0] == p2[0] == 0.6
 
 
-def test_variant_alpha_missing_prior_row_rejected():
+@pytest.mark.parametrize("qtype_ids", [[1], [-1]], ids=["past-the-end", "negative"])
+def test_precomputed_alpha_missing_prior_row_rejected(qtype_ids):
+    # numpy would read the last row for -1
     priors = PriorTable([[1.0, 0.0]])
     with pytest.raises(KeyError):
-        variant_alpha("precomputed", [0], priors=priors, qtype_ids=[1])
+        record_alpha(LossVariant.precomputed(), [0], 2, priors=priors, qtype_ids=qtype_ids)
 
 
 def test_ce_and_lpf_alpha_read_the_question_only_head():
@@ -331,10 +341,8 @@ def test_ce_and_lpf_alpha_read_the_question_only_head():
     logits_vqa, logits_qo = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6)))
     targets = rng.integers(0, 6, size=5)
     expected = alpha_from_qo(logits_qo, targets)
-    for kind in ("ce", "lpf"):
-        assert np.array_equal(variant_alpha(kind, targets, logits_vqa, logits_qo), expected)
-        with pytest.raises(ValueError):
-            variant_alpha(kind, targets, logits_vqa=logits_vqa)
+    for variant in (LossVariant.ce(), LossVariant.lpf(2.0)):
+        assert np.array_equal(record_alpha(variant, targets, 6, logits_vqa, logits_qo), expected)
 
 
 def test_op_logits_keep_one_softmax_pair(monkeypatch):
@@ -489,7 +497,7 @@ def test_batch_objective_gradients_equal_the_gated_composition(default_benchmark
 
     def composed(logits_vqa, logits_qo):
         if head is None:
-            alpha = variant_alpha(variant.kind, targets, priors=priors, qtype_ids=qtypes)
+            alpha = priors.table[qtypes, targets]
         else:
             alpha = alpha_from_qo(logits_vqa if head == "vqa" else logits_qo, targets)
         l_lpf = lpf_loss(logits_vqa, targets, alpha, gamma)
