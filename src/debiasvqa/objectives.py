@@ -145,8 +145,9 @@ def batch_objective(logits_vqa: Tensor, logits_qo: Tensor, targets,
         if priors is None or qtype_ids is None:
             raise ValueError("precomputed alpha needs a prior table and question-type ids")
         q = np.asarray(qtype_ids)
-        if q.size and (q.min() < 0 or q.max() >= priors.num_qtypes):  # numpy would read row -1
-            raise KeyError(f"no prior row for question type {q.max()} (have {priors.num_qtypes})")
+        missing = q[(q < 0) | (q >= priors.num_qtypes)]  # numpy would read row -1
+        if missing.size:
+            raise KeyError(f"no prior row for question type {missing[0]} (have {priors.num_qtypes})")
         alpha = priors.table[q, _check_targets(t, priors.num_answers)]
     else:
         alpha = alpha_from_qo(logits_vqa if variant.kind == "focal" else logits_qo, t)

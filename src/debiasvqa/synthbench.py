@@ -296,28 +296,53 @@ def save_split(split: Split, path) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _read_rows(path, body: list[str], t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The [N, t + 2] ids and [N, d] features of the sample lines, in one pass.
+# the bytes on which reading a file line by line and str.splitlines agree
+_PLAIN = bytes(range(0x20, 0x7f)) + b"\t\n"
 
-    np.loadtxt skips blank lines and numbers rows inconsistently in its
-    messages, so if it fails or drops a line, a second pass names the
+
+def _plain_line_count(fh) -> int | None:
+    """The line count of a binary file of printable ASCII, tabs and newlines
+    only, as str.splitlines counts it, read 64 KiB at a time; None if the
+    file holds any other byte."""
+    count, last = 0, b"\n"
+    while chunk := fh.read(1 << 16):
+        if chunk.translate(None, _PLAIN):
+            return None
+        count, last = count + chunk.count(b"\n"), chunk[-1:]
+    return count + (last != b"\n")
+
+
+def _read_rows(path, body, n: int, t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [N, t + 2] ids and [N, d] features of the n sample lines, in one pass.
+
+    ``body`` is the list of sample lines, or the binary file at the first of
+    them, which np.loadtxt then reads without holding its text.  np.loadtxt
+    skips blank lines and numbers rows inconsistently in its messages, so if
+    it fails or drops a line, a second pass over the file's lines names the
     first bad line and field: its field count, then loadtxt on each field
     alone with that field's dtype.  numpy 1.x reads "0.7" into an int64
     field as 0 with only a DeprecationWarning, so that warning is raised
     as an error here.
     """
     want, spec = t + 2 + d, [("ids", np.int64, (t + 2,)), ("features", np.float64, (d,))]
-    if not body:  # loadtxt warns on empty input
+    if not n:  # loadtxt warns on empty input
         return np.empty((0, t + 2), dtype=np.int64), np.empty((0, d))
+    if isinstance(body, list):
+        first = body[0]
+    else:
+        first = body.readline()
+        body.seek(-len(first), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        if len(body[0].split()) == want:  # bounds loadtxt's row buffer by the data
+        if len(first.split()) == want:  # bounds loadtxt's row buffer by the data
             try:
                 rows = np.loadtxt(body, dtype=spec, comments=None, ndmin=1)
-                if len(rows) == len(body):
+                if len(rows) == n:
                     return rows["ids"], rows["features"]
             except (ValueError, DeprecationWarning):
                 pass
+        if not isinstance(body, list):
+            body = read_text(path).splitlines()[1:]
         for lineno, line in enumerate(body, start=2):
             fields = line.split()
             if len(fields) != want:
@@ -333,19 +358,10 @@ def _read_rows(path, body: list[str], t: int, d: int) -> tuple[np.ndarray, np.nd
     raise DataFormatError(f"{path}: sample lines do not read as {want} numbers each")
 
 
-def load_split(path) -> Split:
-    """Read a split written by :func:`save_split`.
-
-    Raises DataFormatError naming the first bad line for a malformed
-    header or row, a header fingerprint or prior table that breaks its config,
-    a non-finite feature, tokens that are not their question type's
-    template, or an answer outside its question type's block.
-    """
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, expected a header line")
+def _read_header(path, line: str) -> tuple[dict, BenchmarkConfig, PriorTable]:
+    """The header line's JSON object, its config and its prior table."""
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: line 1: bad header: {exc}") from None
     if not isinstance(header, dict):
@@ -370,8 +386,34 @@ def load_split(path) -> Split:
             [[float(v) for v in row] for row in header["priors"]]))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: line 1: bad prior table: {exc}") from None
-    t = config.tokens_per_question
-    ids, features = _read_rows(path, lines[1:], t, config.v_in_dim)
+    return header, config, priors
+
+
+def load_split(path) -> Split:
+    """Read a split written by :func:`save_split`.
+
+    The sample lines stream from the file into np.loadtxt, so the text is
+    never held whole; a file with a byte outside printable ASCII, tabs and
+    newlines (CRLF or CR endings, other whitespace, non-ASCII text) is read
+    whole instead and split as str.splitlines splits it.  Raises
+    DataFormatError naming the first bad line for a malformed
+    header or row, a header fingerprint or prior table that breaks its config,
+    a non-finite feature, tokens that are not their question type's
+    template, or an answer outside its question type's block.
+    """
+    with open(path, "rb") as fh:
+        n = _plain_line_count(fh)
+        fh.seek(0)
+        if n is None:
+            lines = read_text(path).splitlines()
+            n, head, body = len(lines), lines[:1], lines[1:]
+        else:
+            head, body = [fh.readline().decode().removesuffix("\n")][:n], fh  # no header if n is 0
+        if not head:
+            raise DataFormatError(f"{path}: empty file, expected a header line")
+        header, config, priors = _read_header(path, head[0])
+        t = config.tokens_per_question
+        ids, features = _read_rows(path, body, n - 1, t, config.v_in_dim)
     try:
         split = Split(ids[:, 1 + t].copy(), features.copy(), priors, header["role"], config)
     except _SampleError as exc:

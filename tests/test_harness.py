@@ -25,6 +25,7 @@ from debiasvqa import (
     generate_split,
     init_params,
     kl_divergence,
+    load_split,
     make_benchmark,
     save_checkpoint,
     save_split,
@@ -439,6 +440,19 @@ def test_save_split_allocation_peak_is_bounded(tmp_path):
     bench = BenchmarkConfig()
     split = generate_split(build_priors(bench)[0], bench.n_train, "train", bench)
     assert _traced_peak(save_split, split, tmp_path / "train.split") <= SAVE_SPLIT_PEAK_BYTES
+
+
+# Traced peak of loading the default 4000-row shifted split: np.loadtxt's
+# record array as it grows, then the answer and feature columns copied out
+# of it (about 1.72 MB); holding the file's text and its list of lines as
+# well would take 3.33 MB.
+LOAD_SPLIT_PEAK_BYTES = 2_000_000
+
+
+def test_load_split_allocation_peak_is_bounded(default_shifted, tmp_path):
+    path = tmp_path / "ood_test.split"
+    save_split(default_shifted[1], path)
+    assert _traced_peak(load_split, path) <= LOAD_SPLIT_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,14 @@ def test_precomputed_alpha_missing_prior_row_rejected(qtype_ids):
         record_alpha(LossVariant.precomputed(), [0], 2, priors=priors, qtype_ids=qtype_ids)
 
 
+@pytest.mark.parametrize("qtype_ids, missing", [([0, -1], -1), ([3, 0], 3), ([-2, 5], -2)],
+                         ids=["0,-1", "3,0", "-2,5"])
+def test_precomputed_missing_prior_row_names_the_first_type_without_one(qtype_ids, missing):
+    priors = PriorTable([[1.0, 0.0]])
+    with pytest.raises(KeyError, match=rf"^'no prior row for question type {missing} \(have 1\)'$"):
+        record_alpha(LossVariant.precomputed(), [0, 0], 2, priors=priors, qtype_ids=qtype_ids)
+
+
 def test_ce_and_lpf_alpha_read_the_question_only_head():
     rng = np.random.default_rng(30)
     logits_vqa, logits_qo = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6)))

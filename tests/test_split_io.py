@@ -176,10 +176,12 @@ def test_id_read_via_float_with_a_warning_is_rejected(scratch, valid, monkeypatc
     real = np.loadtxt
 
     def numpy_1x_loadtxt(body, dtype, **kwargs):
-        if any(line.split()[0] == "0.7" for line in body):
+        # body is a list of lines, or the split file's binary handle at its sample lines
+        lines = [line if isinstance(line, str) else line.decode() for line in body]
+        if any(line.split()[0] == "0.7" for line in lines):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.\n"
                           "  (Deprecated NumPy 1.23)", DeprecationWarning, stacklevel=2)
-        return real([line.replace("0.7", "0", 1) for line in body], dtype, **kwargs)
+        return real([line.replace("0.7", "0", 1) for line in lines], dtype, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", numpy_1x_loadtxt)
     row = next(i for i, line in enumerate(lines[1:]) if line.startswith("0 "))
@@ -193,3 +195,52 @@ def test_id_read_via_float_with_a_warning_is_rejected(scratch, valid, monkeypatc
     assert main(["eval", str(ckpt), str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"line {row + 2}: " in err and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def default_test_file(scratch):
+    """A default 4000-row test split's file bytes, and that split as loaded."""
+    bench = BenchmarkConfig()
+    path = scratch / "default_test.split"
+    save_split(generate_split(build_priors(bench)[1], bench.n_test, "test", bench), path)
+    return path.read_bytes(), load_split(path)
+
+
+def _on_line(data: bytes, lineno: int, old: bytes, new: bytes) -> bytes:
+    """The file with the first ``old`` on line ``lineno`` (from 1) replaced by ``new``."""
+    lines = data.split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["crlf", "cr", "tabs", "nbsp"])
+def test_other_line_endings_and_separators_load_as_the_lf_file(scratch, default_test_file, kind):
+    data, want = default_test_file
+    header, body = data.split(b"\n", 1)
+    edited = {"crlf": data.replace(b"\n", b"\r\n"), "cr": data.replace(b"\n", b"\r"),
+              "tabs": header + b"\n" + body.replace(b" ", b"\t"),
+              "nbsp": _on_line(data, 4, b" ", "\u00a0".encode())}[kind]
+    path = scratch / f"{kind}.split"
+    path.write_bytes(edited)
+    got = load_split(path)
+    assert (got.role, got.config, got.priors) == (want.role, want.config, want.priors)
+    for column in ("qtypes", "tokens", "answers", "features"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), column
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\u2028"],
+                         ids=["form-feed", "vertical-tab", "line-separator"])
+def test_other_line_breaks_split_their_line(scratch, default_test_file, separator):
+    # str.splitlines ends a line at each of these, so line 4 keeps only its first field
+    path = scratch / "line_break.split"
+    path.write_bytes(_on_line(default_test_file[0], 4, b" ", separator.encode()))
+    with pytest.raises(DataFormatError, match=r"line 4: expected 22 fields, got 1$"):
+        load_split(path)
+
+
+def test_non_utf8_header_byte_is_named(scratch, default_test_file):
+    path = scratch / "latin1.split"
+    path.write_bytes(_on_line(default_test_file[0], 1, b"{", b"{\xff"))
+    with pytest.raises(DataFormatError, match=r"line 1: not UTF-8 text \(invalid start byte\)$"):
+        load_split(path)
